@@ -73,7 +73,10 @@ PipelineEstimate PipelineModel::estimate(Solution solution, std::size_t m,
     const KernelKind kind = options_.atomic_reduction
                                 ? KernelKind::kFused
                                 : KernelKind::kFusedStaged;
-    CalibrationKey key{kind, k, n, options_.mainloop.layout,
+    // The atomic kernel's per-CTA stream is independent of N, so its key
+    // carries none; the staged variant strides its partials by grid.x.
+    CalibrationKey key{kind, k, kind == KernelKind::kFused ? 0 : n,
+                       options_.mainloop.layout,
                        options_.mainloop.double_buffer, options_.fuse_norms};
     const auto& cal = calibrator_.get(key);
     DramTraffic dram = dram_fused(dmi, options_.fuse_norms);

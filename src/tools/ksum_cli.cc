@@ -31,7 +31,7 @@
 #include <iostream>
 #include <memory>
 
-#include "analytic/pipeline_model.h"
+#include "analytic/dense_cost.h"
 #include "blas/vector_ops.h"
 #include "common/flags.h"
 #include "common/timer.h"
@@ -196,25 +196,6 @@ void shards_from_flags(const FlagParser& flags, bool simulated,
   }
 }
 
-/// TreeMode::kAuto dense cost: the analytic full-pipeline estimate of the
-/// dense fused run — the same numbers `ksum-cli sweep` and the bench
-/// binaries report — so the dense-vs-tree decision is consistent with what
-/// the repo publishes. The treecode takes the model through the
-/// tree::DenseCostModel interface because src/analytic links the pipelines
-/// (the dependency cannot point the other way).
-class AnalyticDenseCost : public tree::DenseCostModel {
- public:
-  explicit AnalyticDenseCost(const pipelines::RunOptions& options)
-      : model_(options) {}
-  double dense_seconds(std::size_t m, std::size_t n,
-                       std::size_t k) const override {
-    return model_.estimate(pipelines::Solution::kFused, m, n, k).seconds;
-  }
-
- private:
-  mutable analytic::PipelineModel model_;
-};
-
 /// Applies --tree-eps/--tree to `options`. Returns the cost-model adapter
 /// TreeMode::kAuto consults — keep it alive through the solve. Throws
 /// ksum::Error (exit 2) for the combinations the treecode cannot honour
@@ -249,7 +230,7 @@ std::unique_ptr<tree::DenseCostModel> tree_from_flags(
                "--tree-box-leaf and --tree-row-leaf must be positive");
   if (mode == "auto") {
     options.tree.mode = tree::TreeMode::kAuto;
-    auto model = std::make_unique<AnalyticDenseCost>(options);
+    auto model = std::make_unique<analytic::DenseCost>(options);
     options.tree.cost_model = model.get();
     return model;
   }

@@ -34,8 +34,10 @@
 //   --tree-eps=E     profile the treecode interaction plan (512×2048, K=2,
 //                    h=0.05) at error budget E: near/far pair counts, the
 //                    analytic truncation bound, and modelled dense-vs-tree
-//                    seconds, emitted as a ksum-prof-tree-v1 record
-//                    (docs/TREECODE.md) — no kernels run
+//                    seconds (the --tree=auto pricing: analytic pipeline
+//                    model for every dense block, roofline for the far
+//                    field), emitted as a ksum-prof-tree-v1 record
+//                    (docs/TREECODE.md) — no solve runs
 //   --tree-box-leaf / --tree-row-leaf   leaf sizes for --tree-eps
 //                    (default 64/64)
 //   --profile=P      device profile for every mode: a built-in name
@@ -56,6 +58,7 @@
 #include <string>
 
 #include "analysis/program_registry.h"
+#include "analytic/dense_cost.h"
 #include "common/error.h"
 #include "common/flags.h"
 #include "config/device_spec.h"
@@ -433,7 +436,7 @@ int run_shard_prof(const FlagParser& flags, const std::string& layout_name,
 /// The --tree-eps path: builds the treecode interaction plan (docs/
 /// TREECODE.md) at a fixed far-field-friendly shape (512×2048, K=2,
 /// h=0.05) and prices both sides of the near/far split against the active
-/// device profile — no kernels run; the record is a pure function of
+/// device profile — no solve runs; the record is a pure function of
 /// (eps, leaf sizes, profile). Emitted as a ksum-prof-tree-v1 document:
 ///
 ///   {"schema":"ksum-prof-tree-v1", "shape":{...}, "eps":E,
@@ -488,14 +491,15 @@ int run_tree_prof(const FlagParser& flags,
   tspec.row_leaf = static_cast<std::size_t>(row_leaf);
   const tree::TreePlan plan = tree::build_plan(instance, params, tspec);
 
-  pipelines::RunOptions run;  // default tile geometry
-  const auto& geometry = run.mainloop.geometry;
-  const auto tile_m = static_cast<std::size_t>(geometry.tile_m);
-  const auto tile_n = static_cast<std::size_t>(geometry.tile_n);
-  const double dense_seconds = tree::dense_roofline_seconds(
-      spec.m, spec.n, spec.k, tile_m, tile_n, dev.device);
-  const double tree_seconds = tree::tree_seconds_estimate(
-      plan, spec.k, tile_m, tile_n, dev.device);
+  // Both sides priced exactly as ksum-cli --tree=auto prices them.
+  pipelines::RunOptions run;
+  run.device = dev.device;
+  run.timing = dev.timing;
+  run.energy = dev.energy;
+  const analytic::DenseCost dense(run);
+  const double dense_seconds = dense.dense_seconds(spec.m, spec.n, spec.k);
+  const double tree_seconds =
+      tree::tree_seconds_estimate(plan, spec.k, dense, dev.device);
   const double total_interactions =
       static_cast<double>(spec.m) * static_cast<double>(spec.n);
 

@@ -3,28 +3,18 @@
 //   ksum-tune list  [--json] [--profile=P]   # the candidate grid
 //   ksum-tune prune [--json] [--profile=P]   # grid + rejection reasons
 //   ksum-tune best  --m=8192 --n=8192 --k=8 [--solution=fused]
-//                   [--profile=P] [--rank=execute|model] [--top-k=3]
-//                   [--threads=4] [--cache=FILE] [--json]
+//                   [--profile=P] [--threads=4] [--cache=FILE] [--json]
 //   ksum-tune sweep [--fast] [--threads=4] [--cache=FILE] [--json]
-//   ksum-tune model-fit    [--threads=4] [--out=FILE]
-//   ksum-tune model-report --profile=P --m= --n= --k= [--solution=fused]
-//                          [--threads=4]
 //
 // `best` runs the enumerate → prune → execute → score pass for one shape;
 // `sweep` tunes the paper's operating shapes (M=N ∈ {4096, 8192, 16384},
 // K ∈ {8, 250}). --profile selects the device (a built-in name or a
-// ksum-device-profile-v1 file); --rank=model ranks the grid with the fitted
-// counter model and proxy-executes only the top-k. --cache=FILE reads an
+// ksum-device-profile-v1 file). --cache=FILE reads an
 // existing ksum-tune-cache-v1 file, cross-checks any hit against the fresh
 // tune, records every winner under the active profile, and writes it back.
 // --json emits a ksum-tune-v1 record (validated against the executable
 // schema before printing); all JSON is a pure function of the flags,
 // byte-identical across runs and thread counts.
-//
-// `model-fit` refits the counter cost model for every built-in profile and
-// renders the generated src/model/fitted_params.cc (stdout, or --out=FILE).
-// `model-report` emits a ksum-model-v1 fidelity record — model ranking vs
-// the exhaustive pass, with their Spearman correlation — for one shape.
 //
 // Exit codes: 0 ok, 2 invalid input or usage, 3 internal error.
 #include <cstdio>
@@ -36,7 +26,6 @@
 #include "common/table.h"
 #include "config/profiles/device_profile.h"
 #include "exec/thread_pool.h"
-#include "tune/model_fit.h"
 #include "tune/tune_json.h"
 #include "tune/tuning_cache.h"
 
@@ -73,16 +62,6 @@ tune::TuneOptions tune_options_from_flags(const FlagParser& flags) {
   options.timing = profile.timing;
   options.energy = profile.energy;
   options.profile = profile.name;
-  const std::string rank = flags.get_string("rank", "execute");
-  if (rank == "model") {
-    options.rank = tune::RankMode::kModel;
-  } else {
-    KSUM_REQUIRE(rank == "execute",
-                 "--rank must be execute or model, got " + rank);
-  }
-  options.top_k = static_cast<int>(flags.get_int("top-k", 3));
-  KSUM_REQUIRE(options.top_k >= 1, "--top-k must be >= 1, got " +
-                                       std::to_string(options.top_k));
   return options;
 }
 
@@ -216,8 +195,6 @@ void declare_tune_flags(FlagParser& flags) {
       .declare("threads", "worker threads for the candidate fan-out")
       .declare("layout", "shared-memory layout: fig5 | naive")
       .declare("profile", "device profile: built-in name or JSON file")
-      .declare("rank", "survivor ranking: execute (exhaustive) | model")
-      .declare("top-k", "survivors to execute under --rank=model")
       .declare("cache", "tuning-cache file to read/update (ksum-tune-cache-v1)")
       .declare("json", "emit a ksum-tune-v1 record", false)
       .declare("help", "show this help", false);
@@ -281,86 +258,11 @@ int cmd_sweep(int argc, const char* const* argv) {
   return run_tunes("sweep", flags, requests);
 }
 
-int cmd_model_fit(int argc, const char* const* argv) {
-  FlagParser flags;
-  flags.declare("threads", "worker threads for the proxy-run fan-out")
-      .declare("out", "write the generated file here instead of stdout")
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf(
-        "ksum-tune model-fit — refit the counter cost model for every\n"
-        "built-in profile and render src/model/fitted_params.cc\n%s",
-        flags.usage().c_str());
-    return 0;
-  }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "model-fit takes no positional arguments\n" + flags.usage());
-  const int threads = static_cast<int>(flags.get_int("threads", 1));
-  KSUM_REQUIRE(threads >= 1 && threads <= exec::ThreadPool::kMaxThreads,
-               "--threads must be in [1, " +
-                   std::to_string(exec::ThreadPool::kMaxThreads) + "], got " +
-                   std::to_string(threads));
-
-  std::vector<model::ProfileModel> models;
-  for (const auto& name : config::profiles::builtin_names()) {
-    std::fprintf(stderr, "fitting %s...\n", name.c_str());
-    models.push_back(
-        tune::fit_profile_model(config::profiles::builtin(name), threads));
-  }
-  const std::string text = tune::render_fitted_params_cc(models);
-  const std::string out = flags.get_string("out", "");
-  if (out.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream file(out, std::ios::binary | std::ios::trunc);
-  KSUM_REQUIRE(file.good(), "cannot open " + out + " for writing");
-  file << text;
-  KSUM_REQUIRE(file.good(), "write failed: " + out);
-  std::fprintf(stderr, "wrote %s (%zu bytes)\n", out.c_str(), text.size());
-  return 0;
-}
-
-int cmd_model_report(int argc, const char* const* argv) {
-  FlagParser flags;
-  flags.declare("profile", "device profile: built-in name or JSON file")
-      .declare("solution", "fused | cuda-unfused")
-      .declare("m", "source point count")
-      .declare("n", "target point count")
-      .declare("k", "geometric dimension")
-      .declare("threads", "worker threads for the candidate fan-out")
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf(
-        "ksum-tune model-report — model ranking vs the exhaustive pass\n"
-        "for one shape, as a validated ksum-model-v1 record\n%s",
-        flags.usage().c_str());
-    return 0;
-  }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "model-report takes no positional arguments\n" + flags.usage());
-  const int threads = static_cast<int>(flags.get_int("threads", 1));
-  KSUM_REQUIRE(threads >= 1 && threads <= exec::ThreadPool::kMaxThreads,
-               "--threads must be in [1, " +
-                   std::to_string(exec::ThreadPool::kMaxThreads) + "], got " +
-                   std::to_string(threads));
-  const auto profile =
-      config::profiles::resolve(flags.get_string("profile", "gtx970"));
-  const auto record = tune::model_report(
-      profile, backend_from_flags(flags), flags.get_size("m", 8192),
-      flags.get_size("n", 8192), flags.get_size("k", 8), threads);
-  std::printf("%s\n", record.dump().c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string usage =
-      "usage: ksum-tune <list|prune|best|sweep|model-fit|model-report> "
-      "[flags]\n"
+      "usage: ksum-tune <list|prune|best|sweep> [flags]\n"
       "       ksum-tune <subcommand> --help\n"
       "exit codes: 0 ok, 2 invalid input, 3 internal error\n";
   if (argc < 2) {
@@ -372,8 +274,6 @@ int main(int argc, char** argv) {
     if (cmd == "list" || cmd == "prune") return cmd_grid(cmd, argc, argv);
     if (cmd == "best") return cmd_best(argc, argv);
     if (cmd == "sweep") return cmd_sweep(argc, argv);
-    if (cmd == "model-fit") return cmd_model_fit(argc, argv);
-    if (cmd == "model-report") return cmd_model_report(argc, argv);
     std::fputs(usage.c_str(), stderr);
     return 2;
   } catch (const ksum::InternalError& e) {

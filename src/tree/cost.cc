@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "workload/padding.h"
-
 namespace ksum::tree {
 namespace {
 
@@ -73,31 +71,12 @@ double far_field_seconds(const TreePlan& plan,
                           device);
 }
 
-double dense_roofline_seconds(std::size_t m, std::size_t n, std::size_t k,
-                              std::size_t tile_m, std::size_t tile_n,
-                              const config::DeviceSpec& device) {
-  const double dm = static_cast<double>(m);
-  const double dn = static_cast<double>(n);
-  const double dk = static_cast<double>(k);
-  const double flops = 2.0 * dm * dn * dk + 8.0 * dm * dn;
-  // Tiled GEMM traffic: A re-read once per column-tile stripe, B once per
-  // row-tile stripe, plus the norms pass and the output.
-  const double stripes_a = dn / static_cast<double>(std::max<std::size_t>(
-                                    tile_n, 1));
-  const double stripes_b = dm / static_cast<double>(std::max<std::size_t>(
-                                    tile_m, 1));
-  const double bytes = 4.0 * (dm * dk * std::max(1.0, stripes_a) +
-                              dk * dn * std::max(1.0, stripes_b) +
-                              dm * dk + dk * dn + dm + dn);
-  return roofline_seconds(flops, bytes, device);
-}
-
 double tree_seconds_estimate(const TreePlan& plan, std::size_t k,
-                             std::size_t tile_m, std::size_t tile_n,
+                             const DenseCostModel& dense,
                              const config::DeviceSpec& device) {
   double seconds = far_field_seconds(plan, device);
-  // Each row cluster's near field runs as one padded fused sub-problem
-  // over its gathered columns.
+  // Each row cluster's near field runs as one fused sub-problem over its
+  // gathered columns; the dense model prices the padding.
   for (std::size_t rc = 0; rc < plan.rows.size(); ++rc) {
     std::size_t near_cols = 0;
     for (std::size_t bx = 0; bx < plan.boxes.size(); ++bx) {
@@ -106,10 +85,7 @@ double tree_seconds_estimate(const TreePlan& plan, std::size_t k,
       }
     }
     if (near_cols == 0) continue;
-    const std::size_t rows =
-        workload::round_up(plan.rows[rc].range.size(), std::size_t{128});
-    const std::size_t cols = workload::round_up(near_cols, std::size_t{128});
-    seconds += dense_roofline_seconds(rows, cols, k, tile_m, tile_n, device);
+    seconds += dense.dense_seconds(plan.rows[rc].range.size(), near_cols, k);
   }
   return seconds;
 }

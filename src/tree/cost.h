@@ -1,15 +1,13 @@
-// Roofline cost model for the treecode (and the dense fallback estimate
-// TreeMode::kAuto compares against when no DenseCostModel is wired in).
+// Cost model for the treecode's TreeMode::kAuto decision: would the
+// modelled device spend less time on the dense fused pipeline or on the
+// tree's near-field sub-kernels plus the far-field series?
 //
-// The far-field series runs on the host in this reproduction, but the
-// decision the cost model supports is architectural — would the modelled
-// device spend less time on the dense fused kernel or on the tree's
-// near-field sub-kernels plus the series? Both sides are therefore priced
-// against the active device profile's peak FLOP/s and DRAM bandwidth:
-// seconds = max(flops / peak, bytes / bandwidth). The dense side can also
-// be supplied by the full analytic pipeline model through
-// TreeSpec::cost_model (ksum-cli does this), which prices the real kernel
-// sequence instead of this envelope.
+// Every dense shape — the full problem and each row cluster's near block —
+// is priced by the one DenseCostModel in TreeSpec::cost_model (the analytic
+// pipeline model, analytic/dense_cost.h). The far-field series runs on the
+// host in this reproduction and has no kernel to model, so it alone is
+// priced as a roofline against the active device profile:
+// seconds = max(flops / peak, bytes / bandwidth).
 #pragma once
 
 #include "config/device_spec.h"
@@ -29,17 +27,11 @@ double far_field_bytes(const TreePlan& plan);
 double far_field_seconds(const TreePlan& plan,
                          const config::DeviceSpec& device);
 
-/// Dense fused-pipeline envelope used when no DenseCostModel is supplied:
-/// GEMM + eval + GEMV flops against tiled operand re-reads.
-double dense_roofline_seconds(std::size_t m, std::size_t n, std::size_t k,
-                              std::size_t tile_m, std::size_t tile_n,
-                              const config::DeviceSpec& device);
-
-/// Predicted treecode seconds: the near pairs priced as padded fused
-/// sub-problems (one per row cluster) plus the far-field series. Host-side
+/// Predicted treecode seconds: each row cluster's near block priced by
+/// `dense` as one fused sub-problem, plus the far-field series. Host-side
 /// plan construction is excluded — it is not device work.
 double tree_seconds_estimate(const TreePlan& plan, std::size_t k,
-                             std::size_t tile_m, std::size_t tile_n,
+                             const DenseCostModel& dense,
                              const config::DeviceSpec& device);
 
 }  // namespace ksum::tree

@@ -48,6 +48,9 @@ void validate_options(const pipelines::RunOptions& options,
                "the treecode does not compose with per-shard fault injection");
   KSUM_REQUIRE(options.capture_staged_partials == nullptr,
                "the treecode cannot capture staged partials");
+  KSUM_REQUIRE(tree.mode != TreeMode::kAuto || tree.cost_model != nullptr,
+               "tree mode auto needs a dense cost model "
+               "(analytic/dense_cost.h)");
 }
 
 TreeDecision decide(const workload::Instance& instance,
@@ -69,17 +72,11 @@ TreeDecision decide(const workload::Instance& instance,
     return decision;
   }
   if (options.tree.mode == TreeMode::kAuto) {
-    const auto& geometry = options.mainloop.geometry;
+    const DenseCostModel& dense = *options.tree.cost_model;
     const double dense_seconds =
-        options.tree.cost_model != nullptr
-            ? options.tree.cost_model->dense_seconds(
-                  instance.spec.m, instance.spec.n, instance.spec.k)
-            : dense_roofline_seconds(instance.spec.m, instance.spec.n,
-                                     instance.spec.k, geometry.tile_m,
-                                     geometry.tile_n, options.device);
+        dense.dense_seconds(instance.spec.m, instance.spec.n, instance.spec.k);
     const double tree_seconds =
-        tree_seconds_estimate(plan, instance.spec.k, geometry.tile_m,
-                              geometry.tile_n, options.device);
+        tree_seconds_estimate(plan, instance.spec.k, dense, options.device);
     if (!(tree_seconds < dense_seconds)) {
       std::ostringstream os;
       os << "cost model picked dense (" << dense_seconds << "s vs "

@@ -35,7 +35,8 @@ namespace ksum::tree {
 
 /// Rejects option combinations the treecode cannot honor: negative eps, a
 /// non-fused backend, a non-Gaussian kernel, fault injection (plain or
-/// per-shard), and the staged-partials capture hook. Throws ksum::Error.
+/// per-shard), the staged-partials capture hook, and TreeMode::kAuto with
+/// no TreeSpec::cost_model. Throws ksum::Error.
 void validate_options(const pipelines::RunOptions& options,
                       const core::KernelParams& params,
                       pipelines::Backend backend);

@@ -31,11 +31,10 @@ enum class TreeMode {
 
 std::string to_string(TreeMode mode);
 
-/// Estimated dense-pipeline cost consulted by TreeMode::kAuto. Implemented
-/// by the analytic pipeline model adapter in ksum-cli — declared here so the
-/// treecode can consult it without depending on src/analytic (which itself
-/// links the pipelines). nullptr falls back to the built-in roofline model
-/// (tree/cost.h).
+/// Estimated dense-pipeline cost consulted by TreeMode::kAuto, for the full
+/// problem and every near-field block. Implemented by analytic::DenseCost
+/// (analytic/dense_cost.h) — declared here so the treecode can consult it
+/// without depending on src/analytic (which itself links the pipelines).
 struct DenseCostModel {
   virtual ~DenseCostModel() = default;
   virtual double dense_seconds(std::size_t m, std::size_t n,
@@ -62,8 +61,8 @@ struct TreeSpec {
   /// Hard cap on the split recursion (2^24 leaves is far beyond any
   /// problem the simulator can hold).
   std::size_t max_depth = 24;
-  /// Cost model consulted by TreeMode::kAuto; nullptr = built-in roofline.
-  /// Not owned; must outlive the call.
+  /// Cost model consulted by TreeMode::kAuto, which rejects nullptr. Not
+  /// owned; must outlive the call.
   const DenseCostModel* cost_model = nullptr;
 
   bool enabled() const { return eps != 0; }

@@ -1,7 +1,5 @@
 #include "tune/tune_json.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace ksum::tune {
@@ -35,8 +33,8 @@ void check(bool cond, const std::string& what) {
   if (!cond) throw Error("ksum-tune-v1: " + what);
 }
 
-// `rank` is "" for grid (unmeasured) records, else "execute" or "model".
-void validate_candidate(const Json& c, const std::string& rank) {
+// `measured` is false for grid (unmeasured) records.
+void validate_candidate(const Json& c, bool measured) {
   check(c.at("geometry").is_string(), "candidate geometry must be a string");
   const auto g = geometry_from_json(c);
   check(g.to_string() == c.at("geometry").as_string(),
@@ -56,18 +54,9 @@ void validate_candidate(const Json& c, const std::string& rank) {
     check(c.at("bank_conflicts").as_double() == 0,
           "a viable candidate must stage conflict-free");
   }
-  if (rank.empty()) return;
+  if (!measured) return;
   const bool executed = c.at("executed").as_bool();
-  if (rank == "model") {
-    // Model ranking executes a subset of the survivors; the top-k
-    // membership is re-derived across the whole grid in validate_tune.
-    check(!executed || viable, "only viable candidates may execute");
-    check(viable == (c.find("model_seconds") != nullptr &&
-                     c.at("model_seconds").as_double() > 0),
-          "exactly the viable candidates carry a positive model_seconds");
-  } else {
-    check(executed == viable, "exactly the viable candidates execute");
-  }
+  check(executed == viable, "exactly the viable candidates execute");
   if (executed) {
     check(c.at("proxy_seconds").as_double() > 0 &&
               c.at("scaled_seconds").as_double() > 0,
@@ -83,60 +72,16 @@ void validate_tune(const Json& t) {
             shape.at("k").as_double() > 0,
         "tune shape must be positive");
   check(!t.at("backend").as_string().empty(), "tune backend must be named");
-  // Absent "rank" means the exhaustive pass — the pre-model record shape.
-  const std::string rank =
-      t.find("rank") != nullptr ? t.at("rank").as_string() : "execute";
-  check(rank == "execute" || rank == "model",
-        "tune rank must be execute or model");
   const auto& candidates = t.at("candidates");
   check(candidates.is_array() && candidates.size() > 0,
         "a tune must carry its candidate grid");
-
-  if (rank == "model") {
-    // Re-derive the executed subset: exactly the first executed_top_k
-    // survivors ordered by (model_seconds, paper geometry, to_string) —
-    // the tuner's model-ranking rule.
-    const double top_k = t.at("executed_top_k").as_double();
-    check(top_k >= 1 && top_k == static_cast<double>(
-                                     static_cast<std::size_t>(top_k)),
-          "executed_top_k must be a positive integer");
-    std::vector<const Json*> viable;
-    for (const auto& c : candidates.items()) {
-      if (c.at("viable").as_bool()) viable.push_back(&c);
-    }
-    std::stable_sort(
-        viable.begin(), viable.end(), [](const Json* a, const Json* b) {
-          const double ma = a->at("model_seconds").as_double();
-          const double mb = b->at("model_seconds").as_double();
-          if (ma != mb) return ma < mb;
-          const auto ga = geometry_from_json(*a);
-          const auto gb = geometry_from_json(*b);
-          if (ga.is_paper() != gb.is_paper()) return ga.is_paper();
-          return ga.to_string() < gb.to_string();
-        });
-    const std::size_t keep = std::min(
-        viable.size(), static_cast<std::size_t>(top_k));
-    check(keep == static_cast<std::size_t>(top_k) ||
-              viable.size() == keep,
-          "executed_top_k exceeds the survivor count");
-    for (std::size_t i = 0; i < viable.size(); ++i) {
-      check(viable[i]->at("executed").as_bool() == (i < keep),
-            "the executed set must be exactly the model's top-k");
-    }
-    std::size_t executed = 0;
-    for (const auto& c : candidates.items()) {
-      if (c.at("executed").as_bool()) ++executed;
-    }
-    check(executed == keep,
-          "executed_top_k does not match the executed candidates");
-  }
 
   // Re-derive the winner: minimum scaled seconds among the executed
   // candidates, ties to the paper geometry then to_string order — the
   // tuner's own rule, recomputed from the record's measurements.
   const Json* best = nullptr;
   for (const auto& c : candidates.items()) {
-    validate_candidate(c, rank);
+    validate_candidate(c, /*measured=*/true);
     if (!c.at("executed").as_bool()) continue;
     if (best == nullptr || c.at("scaled_seconds").as_double() <
                                (*best).at("scaled_seconds").as_double()) {
@@ -183,19 +128,12 @@ Json verdict_to_json(const CandidateVerdict& verdict) {
 }
 
 Json measurement_to_json(const TuneMeasurement& m) {
-  return measurement_to_json(m, RankMode::kExecute);
-}
-
-Json measurement_to_json(const TuneMeasurement& m, RankMode rank) {
   Json c = verdict_to_json(m.verdict);
   c.set("executed", m.executed);
   c.set("proxy_seconds", m.proxy_seconds);
   c.set("proxy_energy_j", m.proxy_energy_j);
   c.set("scaled_seconds", m.scaled_seconds);
   c.set("oracle_rel_error", m.oracle_rel_error);
-  // Only model-ranked records carry the prediction — the exhaustive form
-  // stays byte-identical to its pre-model shape.
-  if (rank == RankMode::kModel) c.set("model_seconds", m.model_seconds);
   return c;
 }
 
@@ -207,10 +145,6 @@ Json tune_report_to_json(const TuneReport& report) {
   shape.set("k", static_cast<std::uint64_t>(report.request.k));
   t.set("shape", std::move(shape));
   t.set("backend", pipelines::to_string(report.request.backend));
-  if (report.rank == RankMode::kModel) {
-    t.set("rank", "model");
-    t.set("executed_top_k", report.executed_top_k);
-  }
   Json best = Json::object();
   set_geometry_fields(best, report.best);
   t.set("best", std::move(best));
@@ -218,7 +152,7 @@ Json tune_report_to_json(const TuneReport& report) {
   t.set("best_proxy_seconds", report.best_proxy_seconds);
   Json candidates = Json::array();
   for (const auto& m : report.measurements) {
-    candidates.push_back(measurement_to_json(m, report.rank));
+    candidates.push_back(measurement_to_json(m));
   }
   t.set("candidates", std::move(candidates));
   return t;
@@ -262,7 +196,7 @@ void validate_tune_json(const Json& record) {
     check(candidates.is_array() && candidates.size() > 0,
           "a grid record must carry candidates");
     for (const auto& c : candidates.items()) {
-      validate_candidate(c, /*rank=*/"");
+      validate_candidate(c, /*measured=*/false);
     }
     return;
   }

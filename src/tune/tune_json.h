@@ -15,25 +15,19 @@
 //     // best/sweep — one object per tuned shape:
 //     "tunes": [ {
 //         "shape": {"m":…, "n":…, "k":…}, "backend": "sim-fused",
-//         // model-ranked runs only (absent = the exhaustive pass):
-//         "rank": "model", "executed_top_k":…,
 //         "best": {"geometry": "…", <geometry fields>},
 //         "best_scaled_seconds":…, "best_proxy_seconds":…,
 //         "candidates": [ { <candidate fields>, "executed": bool,
 //             "proxy_seconds":…, "proxy_energy_j":…, "scaled_seconds":…,
-//             "oracle_rel_error":…,
-//             "model_seconds":… /* model-ranked runs only */ } ] } ]
+//             "oracle_rel_error":… } ] } ]
 //   }
 //
 // validate_tune_json() is the schema's executable definition: beyond the
 // structure it re-derives the invariants — a candidate has reasons iff it is
 // not viable, and every tune's "best" is the executed candidate with the
-// minimum scaled seconds (ties by the tuner's deterministic order). The
-// executed set is re-derived per rank mode: the exhaustive pass executes
-// exactly the viable candidates; a model-ranked tune executes exactly the
-// first executed_top_k survivors ordered by model_seconds (same tie-break).
-// A record whose winner or executed set does not recompose from its own
-// measurements is rejected.
+// minimum scaled seconds (ties by the tuner's deterministic order), and
+// exactly the viable candidates execute. A record whose winner or executed
+// set does not recompose from its own measurements is rejected.
 #pragma once
 
 #include <string>
@@ -47,11 +41,8 @@ namespace ksum::tune {
 /// One vetted candidate (the list/prune row).
 profile::Json verdict_to_json(const CandidateVerdict& verdict);
 
-/// One measured candidate (verdict fields + execution fields). The
-/// two-argument form adds "model_seconds" for model-ranked runs; the
-/// one-argument form keeps the exhaustive shape.
+/// One measured candidate (verdict fields + execution fields).
 profile::Json measurement_to_json(const TuneMeasurement& m);
-profile::Json measurement_to_json(const TuneMeasurement& m, RankMode rank);
 
 /// One tuned shape (the best/sweep element).
 profile::Json tune_report_to_json(const TuneReport& report);

@@ -1,12 +1,10 @@
 #include "tune/tuner.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "blas/vector_ops.h"
 #include "common/error.h"
 #include "exec/thread_pool.h"
-#include "model/cost_model.h"
 #include "workload/padding.h"
 
 namespace ksum::tune {
@@ -114,7 +112,6 @@ TuneReport tune(const TuneRequest& request, const TuneOptions& options) {
 
   TuneReport report;
   report.request = request;
-  report.rank = options.rank;
   for (const auto& verdict :
        evaluate_candidates(options.device, options.layout)) {
     TuneMeasurement m;
@@ -128,41 +125,6 @@ TuneReport tune(const TuneRequest& request, const TuneOptions& options) {
   }
   KSUM_CHECK_MSG(!survivors.empty(),
              "no tile-geometry candidate survived pruning");
-
-  // Model ranking: score the whole grid with the fitted counter model and
-  // keep only the predicted top-k for proxy execution. Ranking is pure
-  // arithmetic on the candidate list — no simulation, no thread pool — so
-  // it is identical for any --threads value by construction. Ties order
-  // the same way the winner tie-break does (paper geometry first, then
-  // to_string), so the executed subset is deterministic too.
-  if (options.rank == RankMode::kModel) {
-    KSUM_REQUIRE(options.top_k >= 1, "--top-k must be at least 1");
-    const model::BackendModel& backend_model =
-        model::require_backend(options.profile, request.backend);
-    for (const std::size_t i : survivors) {
-      TuneMeasurement& m = report.measurements[i];
-      m.model_seconds = model::predict_scaled_seconds(
-          backend_model, options.device, options.timing, m.verdict.geometry,
-          request.m, request.n, request.k);
-    }
-    std::stable_sort(
-        survivors.begin(), survivors.end(),
-        [&](std::size_t x, std::size_t y) {
-          const TuneMeasurement& a = report.measurements[x];
-          const TuneMeasurement& b = report.measurements[y];
-          if (a.model_seconds != b.model_seconds) {
-            return a.model_seconds < b.model_seconds;
-          }
-          const TileGeometry& ga = a.verdict.geometry;
-          const TileGeometry& gb = b.verdict.geometry;
-          if (ga.is_paper() != gb.is_paper()) return ga.is_paper();
-          return ga.to_string() < gb.to_string();
-        });
-    const std::size_t keep =
-        std::min(survivors.size(), static_cast<std::size_t>(options.top_k));
-    survivors.resize(keep);
-  }
-  report.executed_top_k = static_cast<int>(survivors.size());
 
   // One shared proxy workload and its oracle; every candidate tile divides
   // the proxy edges, so no candidate pays a padding penalty.

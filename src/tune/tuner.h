@@ -46,17 +46,6 @@ struct TuneRequest {
   pipelines::Backend backend = pipelines::Backend::kSimFused;
 };
 
-/// How the survivors are ordered before (and instead of) execution.
-enum class RankMode {
-  /// Proxy-execute every survivor and rank by re-modelled seconds — the
-  /// original exhaustive pass.
-  kExecute,
-  /// Rank the full grid with the fitted counter model (model/cost_model.h)
-  /// and proxy-execute only the top-k — same winner criteria applied to
-  /// the executed subset. Needs a fitted model for `profile`.
-  kModel,
-};
-
 struct TuneOptions {
   /// Worker threads for the candidate fan-out, in
   /// [1, exec::ThreadPool::kMaxThreads].
@@ -66,13 +55,9 @@ struct TuneOptions {
   config::EnergySpec energy = config::EnergySpec::gtx970_mcpat();
   /// Identity of the device profile the specs above came from. Keys the
   /// tuning cache (a geometry tuned for one architecture must never be
-  /// served to another) and selects the fitted cost model for kModel.
+  /// served to another).
   std::string profile = "gtx970";
   gpukernels::TileLayout layout = gpukernels::TileLayout::kFig5;
-  RankMode rank = RankMode::kExecute;
-  /// Survivors to proxy-execute under kModel (clamped to the survivor
-  /// count); ignored under kExecute.
-  int top_k = 3;
 };
 
 /// One candidate's pruning verdict plus (for survivors) its measurement.
@@ -83,9 +68,6 @@ struct TuneMeasurement {
   double proxy_energy_j = 0;
   double scaled_seconds = 0;   // re-modelled at the requested shape
   double oracle_rel_error = 0; // proxy result vs the host oracle
-  /// Fitted-model prediction of scaled_seconds; set for every viable
-  /// candidate under RankMode::kModel, 0 under kExecute.
-  double model_seconds = 0;
 };
 
 struct TuneReport {
@@ -95,10 +77,6 @@ struct TuneReport {
   gpukernels::TileGeometry best;
   double best_scaled_seconds = 0;
   double best_proxy_seconds = 0;
-  /// How the survivors were ranked; under kModel, `executed_top_k` is the
-  /// number of candidates that ran (min(options.top_k, survivors)).
-  RankMode rank = RankMode::kExecute;
-  int executed_top_k = 0;
 };
 
 /// True for the backends the tuner can execute (the simulated ones).

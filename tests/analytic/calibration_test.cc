@@ -131,5 +131,16 @@ TEST(CalibrationTest, StagedFusedDependsOnN) {
             n256.per_cta.l2_write_transactions);
 }
 
+TEST(CalibrationTest, AtomicFusedIgnoresN) {
+  // The atomic fused kernel calibrates one CTA on a fixed 128×128
+  // workspace, so the row width cannot change its per-CTA stream — which
+  // is why PipelineModel keys it with n = 0.
+  Calibrator calibrator;
+  const auto& n0 = calibrator.get({KernelKind::kFused, 16, 0});
+  const auto& n512 = calibrator.get({KernelKind::kFused, 16, 512});
+  EXPECT_NE(&n0, &n512);
+  EXPECT_EQ(n0.per_cta, n512.per_cta);
+}
+
 }  // namespace
 }  // namespace ksum::analytic

@@ -1,6 +1,10 @@
+#include "analytic/dense_cost.h"
 #include "analytic/pipeline_model.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 namespace ksum::analytic {
 namespace {
@@ -112,6 +116,63 @@ TEST(PipelineModelTest, SingleBufferAblation) {
   EXPECT_NEAR(sb.total.fma_lane_ops, db.total.fma_lane_ops, 1.0);
   EXPECT_GT(sb.kernels[2].scalable.barriers,
             db.kernels[2].scalable.barriers);
+}
+
+TEST(DenseCostTest, PricesThePaddedShapeSolveRuns) {
+  // pipelines::solve zero-pads M and N to 128 and K to 8, so a ragged
+  // shape costs exactly its padded run.
+  const DenseCost dense(pipelines::RunOptions{});
+  PipelineModel model;
+  EXPECT_EQ(dense.dense_seconds(500, 2000, 2),
+            model.estimate(Solution::kFused, 512, 2048, 8).seconds);
+  EXPECT_EQ(dense.dense_seconds(512, 2048, 8),
+            dense.dense_seconds(500, 2000, 2));
+}
+
+TEST(DenseCostTest, HonorsTheRunOptionsReduction) {
+  // The adapter prices the pipeline its RunOptions select: the staged
+  // two-pass reduction adds kernels the atomic one does not run.
+  pipelines::RunOptions staged;
+  staged.atomic_reduction = false;
+  const DenseCost staged_dense(staged);
+  const DenseCost atomic_dense(pipelines::RunOptions{});
+  PipelineModel staged_model(staged);
+  EXPECT_EQ(staged_dense.dense_seconds(500, 2000, 2),
+            staged_model.estimate(Solution::kFused, 512, 2048, 8).seconds);
+  EXPECT_NE(staged_dense.dense_seconds(500, 2000, 2),
+            atomic_dense.dense_seconds(500, 2000, 2));
+}
+
+TEST(DenseCostTest, ConcurrentCallersSeeTheSerialPrice) {
+  // Batch workers share one adapter; every thread must read the price a
+  // lone caller would.
+  const std::size_t widths[] = {100, 256, 1000, 2000};
+  std::vector<double> serial;
+  {
+    const DenseCost lone(pipelines::RunOptions{});
+    for (const std::size_t n : widths) {
+      serial.push_back(lone.dense_seconds(300, n, 3));
+    }
+  }
+  const DenseCost shared(pipelines::RunOptions{});
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> seen(kThreads,
+                                        std::vector<double>(serial.size()));
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Each thread starts at a different width so first-use calibrations
+      // race.
+      for (std::size_t j = 0; j < serial.size(); ++j) {
+        const std::size_t i = (t + j) % serial.size();
+        seen[t][i] = shared.dense_seconds(300, widths[i], 3);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], serial) << "thread " << t;
+  }
 }
 
 }  // namespace

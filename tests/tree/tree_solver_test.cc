@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "analytic/dense_cost.h"
 #include "core/exact.h"
 #include "pipelines/solver.h"
 #include "tree/cost.h"
@@ -47,6 +49,32 @@ double max_abs_err(const Vector& v, const Vector& oracle) {
   }
   return worst;
 }
+
+// Prices every dense interaction at a full second: the tree, which skips
+// most of them, must win.
+struct ExpensiveDense : tree::DenseCostModel {
+  double dense_seconds(std::size_t m, std::size_t n,
+                       std::size_t) const override {
+    return static_cast<double>(m) * static_cast<double>(n);
+  }
+};
+
+// Dense work is free: nothing the tree does can beat it.
+struct FreeDense : tree::DenseCostModel {
+  double dense_seconds(std::size_t, std::size_t, std::size_t) const override {
+    return 0.0;
+  }
+};
+
+// Prices every shape at one second and records what it was asked.
+struct RecordingDense : tree::DenseCostModel {
+  mutable std::vector<std::array<std::size_t, 3>> shapes;
+  double dense_seconds(std::size_t m, std::size_t n,
+                       std::size_t k) const override {
+    shapes.push_back({m, n, k});
+    return 1.0;
+  }
+};
 
 double float_slack(const Vector& oracle) {
   double slack = 0;
@@ -170,12 +198,7 @@ TEST(TreeSolverTest, ExplicitNAxisShardsFallBackDense) {
 }
 
 TEST(TreeSolverTest, AutoModeRunsTheTreeWhenItIsCheaper) {
-  // A cost model that prices dense astronomically: auto must pick the tree.
-  struct ExpensiveDense : tree::DenseCostModel {
-    double dense_seconds(std::size_t, std::size_t, std::size_t) const override {
-      return 1e9;
-    }
-  } expensive;
+  const ExpensiveDense expensive;
   const auto instance = favorable_instance(76);
   const auto params = core::params_from_spec(instance.spec);
   auto options = tree_options(1e-4);
@@ -188,11 +211,7 @@ TEST(TreeSolverTest, AutoModeRunsTheTreeWhenItIsCheaper) {
 }
 
 TEST(TreeSolverTest, AutoModeFallsBackWhenDenseIsCheaper) {
-  struct FreeDense : tree::DenseCostModel {
-    double dense_seconds(std::size_t, std::size_t, std::size_t) const override {
-      return 0.0;
-    }
-  } free_dense;
+  const FreeDense free_dense;
   const auto instance = favorable_instance(77);
   const auto params = core::params_from_spec(instance.spec);
   const auto plain = pipelines::solve(instance, params, Backend::kSimFused);
@@ -208,6 +227,23 @@ TEST(TreeSolverTest, AutoModeFallsBackWhenDenseIsCheaper) {
   EXPECT_EQ(std::memcmp(plain.v.data(), result.v.data(),
                         plain.v.size() * sizeof(float)),
             0);
+}
+
+TEST(TreeSolverTest, AutoModePricesRaggedShapesWithTheAnalyticModel) {
+  // The analytic adapter prices the zero-padded shape, so kAuto accepts a
+  // problem off the 128/8 grid whose near blocks are ragged too.
+  const auto instance = favorable_instance(81, 500, 2000);
+  const auto params = core::params_from_spec(instance.spec);
+  const auto oracle = pipelines::solve(instance, params, Backend::kCpuDirect);
+  const analytic::DenseCost dense(pipelines::RunOptions{});
+  auto options = tree_options(1e-4);
+  options.tree.mode = tree::TreeMode::kAuto;
+  options.tree.cost_model = &dense;
+  const auto result =
+      pipelines::solve(instance, params, Backend::kSimFused, options);
+  ASSERT_EQ(result.v.size(), instance.spec.m);
+  ASSERT_TRUE(result.tree.has_value());
+  EXPECT_LE(max_abs_err(result.v, oracle.v), 1e-4 + float_slack(oracle.v));
 }
 
 TEST(TreeSolverTest, RejectsUnsupportedOptionCombinations) {
@@ -261,6 +297,14 @@ TEST(TreeSolverTest, RejectsUnsupportedOptionCombinations) {
   EXPECT_THROW(
       pipelines::solve(instance, params, Backend::kSimFused, with_capture),
       Error);
+
+  // Auto mode has exactly one dense price; without it there is nothing to
+  // compare the tree against.
+  auto auto_without_model = tree_options(1e-4);
+  auto_without_model.tree.mode = tree::TreeMode::kAuto;
+  EXPECT_THROW(pipelines::solve(instance, params, Backend::kSimFused,
+                                auto_without_model),
+               Error);
 }
 
 TEST(TreeSolverTest, RoundTripsThroughUnalignedShapes) {
@@ -288,14 +332,56 @@ TEST(TreeSolverTest, CostEstimatesAreFiniteAndOrdered) {
   tree::TreeSpec spec = tree_options(1e-4).tree;
   const auto plan = tree::build_plan(instance, params, spec);
   const auto device = config::DeviceSpec::gtx970();
-  const double dense = tree::dense_roofline_seconds(
-      instance.spec.m, instance.spec.n, instance.spec.k, 128, 128, device);
-  const double treed = tree::tree_seconds_estimate(plan, instance.spec.k, 128,
-                                                   128, device);
+  const analytic::DenseCost analytic_dense(pipelines::RunOptions{});
+  const double dense = analytic_dense.dense_seconds(
+      instance.spec.m, instance.spec.n, instance.spec.k);
+  const double treed =
+      tree::tree_seconds_estimate(plan, instance.spec.k, analytic_dense, device);
   EXPECT_TRUE(std::isfinite(dense));
   EXPECT_TRUE(std::isfinite(treed));
   EXPECT_GT(dense, 0.0);
   EXPECT_GT(treed, 0.0);
+
+  // The near blocks are priced by the dense model alone: free dense work
+  // leaves only the far-field series, and costlier dense work costs more.
+  const double far = tree::far_field_seconds(plan, device);
+  EXPECT_GT(far, 0.0);
+  EXPECT_EQ(tree::tree_seconds_estimate(plan, instance.spec.k, FreeDense{},
+                                        device),
+            far);
+  EXPECT_GT(tree::tree_seconds_estimate(plan, instance.spec.k,
+                                        ExpensiveDense{}, device),
+            treed);
+}
+
+TEST(TreeSolverTest, EstimatePricesEachNearBlockOnceThroughTheDenseModel) {
+  const auto instance = favorable_instance(82);
+  const auto params = core::params_from_spec(instance.spec);
+  const auto plan =
+      tree::build_plan(instance, params, tree_options(1e-4).tree);
+  const auto device = config::DeviceSpec::gtx970();
+  const RecordingDense recording;
+  const double seconds =
+      tree::tree_seconds_estimate(plan, instance.spec.k, recording, device);
+
+  // One call per row cluster that has near work, covering exactly the
+  // plan's near interactions at the caller's K.
+  ASSERT_FALSE(recording.shapes.empty());
+  EXPECT_LE(recording.shapes.size(), plan.rows.size());
+  double interactions = 0;
+  std::size_t rows = 0;
+  for (const auto& [m, n, k] : recording.shapes) {
+    EXPECT_GT(m, 0u);
+    EXPECT_GT(n, 0u);
+    EXPECT_LE(n, instance.spec.n);
+    EXPECT_EQ(k, instance.spec.k);
+    interactions += static_cast<double>(m) * static_cast<double>(n);
+    rows += m;
+  }
+  EXPECT_EQ(interactions, plan.near_interactions);
+  EXPECT_LE(rows, instance.spec.m);
+  EXPECT_EQ(seconds, tree::far_field_seconds(plan, device) +
+                         static_cast<double>(recording.shapes.size()));
 }
 
 }  // namespace

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "pipelines/solver.h"
+#include "tune/tune_json.h"
 
 namespace ksum {
 namespace {
@@ -116,6 +120,28 @@ TEST(TunerTest, DeepKTilesWinTheLongAccumulation) {
   ASSERT_GT(paper_seconds, 0.0);
   EXPECT_LE(report.best_scaled_seconds, paper_seconds);
   EXPECT_EQ(report.best.tile_k, 16) << report.best.to_string();
+}
+
+TEST(TunerTest, RecordIsThreadCountInvariant) {
+  // Every viable candidate runs on its own simulated device and the
+  // results are gathered in enumeration order, so the serialised record
+  // must be byte-identical for any worker count.
+  tune::TuneRequest request;
+  request.m = 640;
+  request.n = 384;
+  request.k = 8;
+  request.backend = Backend::kSimFused;
+
+  std::vector<std::string> dumps;
+  for (const int threads : {1, 2, 8}) {
+    tune::TuneOptions options;
+    options.threads = threads;
+    dumps.push_back(
+        tune::tune_record("best", {tune::tune(request, options)}).dump());
+  }
+  ASSERT_EQ(dumps.size(), 3u);
+  EXPECT_EQ(dumps[0], dumps[1]) << "1-thread vs 2-thread record diverged";
+  EXPECT_EQ(dumps[0], dumps[2]) << "1-thread vs 8-thread record diverged";
 }
 
 }  // namespace

@@ -15,7 +15,11 @@ Schemas understood (see src/profile/profile_json.h and bench/bench_common.cc):
                        ksum-prof-v1 program record
   ksum-prof-tree-v1    model.{dense_seconds, tree_seconds} and the plan's
                        near_interactions — the treecode planner's modelled
-                       split (src/tools/ksum_prof.cc)
+                       split (src/tools/ksum_prof.cc), priced exactly as
+                       --tree=auto prices it: dense_seconds is the analytic
+                       pipeline model on the padded shape, tree_seconds the
+                       same model on every near block plus the far-field
+                       roofline (src/analytic/dense_cost.h, src/tree/cost.h)
   ksum-serve-v1        latency_ms.modelled.{p50, p99} only — the modelled
                        serving latencies are deterministic; wall-clock
                        latencies and gauge fields are reported by the bench
