@@ -51,6 +51,10 @@ void FlagParser::parse(int argc, const char* const* argv, int first) {
   }
 }
 
+bool FlagParser::declared(const std::string& name) const {
+  return decls_.count(name) != 0;
+}
+
 bool FlagParser::has(const std::string& name) const {
   decl_of(name);
   return values_.count(name) != 0;

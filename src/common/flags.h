@@ -23,6 +23,8 @@ class FlagParser {
   /// ksum::Error on unknown flags or missing values.
   void parse(int argc, const char* const* argv, int first = 1);
 
+  /// True when the flag was declared (given or not).
+  bool declared(const std::string& name) const;
   bool has(const std::string& name) const;
 
   std::string get_string(const std::string& name,

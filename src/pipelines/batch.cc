@@ -1,14 +1,12 @@
 #include "pipelines/batch.h"
 
+#include <charconv>
 #include <istream>
-#include <memory>
 
 #include "blas/vector_ops.h"
 #include "common/error.h"
 #include "core/exact.h"
 #include "exec/batch_engine.h"
-#include "robust/fault_plan.h"
-#include "shard/types.h"
 #include "workload/point_generators.h"
 
 namespace ksum::pipelines {
@@ -26,6 +24,18 @@ std::uint64_t derived_fault_seed(std::size_t index) {
   return z ^ (z >> 31);
 }
 
+// Parses a whole CSV field, surrounding blanks aside: "128x" is malformed,
+// not 128.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const auto first = text.find_first_not_of(" \t");
+  if (first == std::string::npos) return false;
+  const char* begin = text.data() + first;
+  const char* end = text.data() + text.find_last_not_of(" \t") + 1;
+  const auto [ptr, ec] = std::from_chars(begin, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 BatchResult run_request(const BatchRequest& request, std::size_t index,
                         double verify_tolerance) {
   BatchResult out;
@@ -34,31 +44,13 @@ BatchResult run_request(const BatchRequest& request, std::size_t index,
     const workload::Instance instance = workload::make_instance(request.spec);
 
     RunOptions options = request.options;
-    std::unique_ptr<robust::FaultPlan> plan;
-    if (request.fault_rate > 0) {
-      KSUM_REQUIRE(request.fault_rate <= 1.0,
-                   "batch request fault rate must be in [0, 1]");
-      const std::uint64_t seed = request.fault_seed != 0
-                                     ? request.fault_seed
-                                     : derived_fault_seed(index);
-      if (options.shards.enabled()) {
-        // A sharded request rejects a plain injector (one stream cannot say
-        // which device a fault lives on): derive an independent plan per
-        // (shard, dispatch) from this request's seed instead.
-        const double rate = request.fault_rate;
-        options.shards.injector_factory =
-            [seed, rate](std::size_t s, int d)
-            -> std::shared_ptr<gpusim::FaultInjector> {
-          return std::make_shared<robust::FaultPlan>(
-              robust::FaultPlanConfig::uniform(
-                  shard::shard_fault_seed(seed, s, d), rate));
-        };
-      } else {
-        plan = std::make_unique<robust::FaultPlan>(
-            robust::FaultPlanConfig::uniform(seed, request.fault_rate));
-        options.fault_injector = plan.get();
-      }
-    }
+    KSUM_REQUIRE(request.fault_rate <= 1.0,
+                 "batch request fault rate must be in [0, 1]");
+    const auto plan = attach_fault_plan(
+        options,
+        request.fault_seed != 0 ? request.fault_seed
+                                : derived_fault_seed(index),
+        request.fault_rate);
 
     out.solve = solve(instance, request.params, request.backend, options);
     out.ok = !out.solve.recovery.gave_up;
@@ -145,40 +137,30 @@ std::vector<BatchRequest> parse_batch_csv(std::istream& in,
                      ": expected m,n,k[,seed[,h]], got '" + row + "'");
 
     BatchRequest request = base;
+    const std::string where = "batch CSV line " + std::to_string(line_no);
     auto parse_size = [&](const std::string& text, const char* what) {
-      try {
-        const long long v = std::stoll(text);
-        KSUM_REQUIRE(v >= 1, "batch CSV line " + std::to_string(line_no) +
-                                 ": " + what + " must be >= 1");
-        return static_cast<std::size_t>(v);
-      } catch (const Error&) {
-        throw;
-      } catch (const std::exception&) {
-        throw Error("batch CSV line " + std::to_string(line_no) +
-                    ": malformed " + what + " '" + text + "'");
-      }
+      long long v = 0;
+      KSUM_REQUIRE(parse_whole(text, v),
+                   where + ": malformed " + what + " '" + text + "'");
+      KSUM_REQUIRE(v >= 1, where + ": " + what + " must be >= 1");
+      return static_cast<std::size_t>(v);
     };
     request.spec.m = parse_size(fields[0], "m");
     request.spec.n = parse_size(fields[1], "n");
     request.spec.k = parse_size(fields[2], "k");
     if (fields.size() >= 4) {
-      try {
-        request.spec.seed = std::stoull(fields[3]);
-      } catch (const std::exception&) {
-        throw Error("batch CSV line " + std::to_string(line_no) +
-                    ": malformed seed '" + fields[3] + "'");
-      }
+      long long signed_seed = 0;
+      KSUM_REQUIRE(!parse_whole(fields[3], signed_seed) || signed_seed >= 0,
+                   where + ": seed must be non-negative, got '" + fields[3] +
+                       "'");
+      KSUM_REQUIRE(parse_whole(fields[3], request.spec.seed),
+                   where + ": malformed seed '" + fields[3] + "'");
     }
     if (fields.size() >= 5) {
-      try {
-        request.spec.bandwidth = std::stof(fields[4]);
-      } catch (const std::exception&) {
-        throw Error("batch CSV line " + std::to_string(line_no) +
-                    ": malformed bandwidth '" + fields[4] + "'");
-      }
+      KSUM_REQUIRE(parse_whole(fields[4], request.spec.bandwidth),
+                   where + ": malformed bandwidth '" + fields[4] + "'");
       KSUM_REQUIRE(request.spec.bandwidth > 0,
-                   "batch CSV line " + std::to_string(line_no) +
-                       ": bandwidth must be positive");
+                   where + ": bandwidth must be positive");
     }
     // Kernel params follow the per-line spec (bandwidth feeds the kernel)
     // while keeping the batch-wide kernel type.

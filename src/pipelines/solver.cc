@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.h"
-
 #include "common/timer.h"
 #include "shard/runner.h"
 #include "tree/solve.h"
@@ -27,6 +26,48 @@ std::string to_string(Backend backend) {
       return "sim-cublas-unfused";
   }
   return "unknown";
+}
+
+bool is_simulated(Backend backend) {
+  return backend == Backend::kSimFused ||
+         backend == Backend::kSimCudaUnfused ||
+         backend == Backend::kSimCublasUnfused;
+}
+
+Solution solution_of(Backend backend) {
+  switch (backend) {
+    case Backend::kSimFused:
+      return Solution::kFused;
+    case Backend::kSimCudaUnfused:
+      return Solution::kCudaUnfused;
+    case Backend::kSimCublasUnfused:
+      return Solution::kCublasUnfused;
+    case Backend::kCpuDirect:
+    case Backend::kCpuExpansion:
+      break;
+  }
+  throw Error(to_string(backend) +
+              " runs on the host and has no simulated pipeline");
+}
+
+std::unique_ptr<robust::FaultPlan> attach_fault_plan(RunOptions& options,
+                                                     std::uint64_t seed,
+                                                     double rate) {
+  if (rate <= 0) return nullptr;
+  if (options.shards.enabled()) {
+    options.shards.injector_factory =
+        [seed, rate](std::size_t s, int d)
+        -> std::shared_ptr<gpusim::FaultInjector> {
+      return std::make_shared<robust::FaultPlan>(
+          robust::FaultPlanConfig::uniform(shard::shard_fault_seed(seed, s, d),
+                                           rate));
+    };
+    return nullptr;
+  }
+  auto plan = std::make_unique<robust::FaultPlan>(
+      robust::FaultPlanConfig::uniform(seed, rate));
+  options.fault_injector = plan.get();
+  return plan;
 }
 
 SolveResult solve(const workload::Instance& instance,
@@ -52,12 +93,7 @@ SolveResult solve(const workload::Instance& instance,
     case Backend::kSimFused:
     case Backend::kSimCudaUnfused:
     case Backend::kSimCublasUnfused: {
-      const Solution solution =
-          backend == Backend::kSimFused
-              ? Solution::kFused
-              : (backend == Backend::kSimCudaUnfused
-                     ? Solution::kCudaUnfused
-                     : Solution::kCublasUnfused);
+      const Solution solution = solution_of(backend);
 
       RunOptions run_options = options;
       const robust::RecoveryPolicy& policy = options.recovery;

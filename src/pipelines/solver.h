@@ -3,10 +3,13 @@
 // This is the API the examples and downstream users consume.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "pipelines/pipeline.h"
+#include "robust/fault_plan.h"
 #include "robust/recovery.h"
 
 namespace ksum::pipelines {
@@ -20,6 +23,24 @@ enum class Backend {
 };
 
 std::string to_string(Backend backend);
+
+/// True for the backends that run on the simulated GPU.
+bool is_simulated(Backend backend);
+
+/// The simulated pipeline a backend runs. Throws ksum::Error for the host
+/// backends, which have none.
+Solution solution_of(Backend backend);
+
+/// Attaches a uniform fault-injection plan at `rate` (0 = none) to
+/// `options`. Unsharded runs get one plan seeded with `seed`; the returned
+/// plan owns the injector `options` points at, so keep it alive through the
+/// solve. Sharded runs reject a plain injector (one stream cannot say which
+/// device a fault lives on), so when options.shards is enabled this
+/// installs a per-(shard, dispatch) factory seeded through
+/// shard::shard_fault_seed instead and returns null.
+std::unique_ptr<robust::FaultPlan> attach_fault_plan(RunOptions& options,
+                                                     std::uint64_t seed,
+                                                     double rate);
 
 struct SolveResult {
   Vector v;  // the potential vector, length M

@@ -6,7 +6,6 @@
 #include "blas/vector_ops.h"
 #include "common/error.h"
 #include "core/exact.h"
-#include "robust/fault_plan.h"
 #include "shard/plan.h"
 #include "workload/point_generators.h"
 
@@ -167,9 +166,6 @@ void Server::handle_line(const std::string& line) {
     bounds += " K=";
     bounds += std::to_string(options_.max_k);
     bounds += ')';
-    const bool simulated =
-        request.backend != pipelines::Backend::kCpuDirect &&
-        request.backend != pipelines::Backend::kCpuExpansion;
     std::string refusal;
     if (request.spec.k > options_.max_k) {
       // K is the reduction depth — both shard axes replicate it whole.
@@ -183,7 +179,7 @@ void Server::handle_line(const std::string& line) {
     } else if (options_.max_shards <= 1) {
       refusal = "shape exceeds ";
       refusal += bounds;
-    } else if (!simulated) {
+    } else if (!pipelines::is_simulated(request.backend)) {
       refusal = "shape exceeds ";
       refusal += bounds;
       refusal += " and host backends do not shard";
@@ -315,8 +311,7 @@ void Server::run_solve(WorkerContext& ctx, const Pending& item) {
       run.tree = tree::TreeSpec{};
     }
 
-    const bool simulated = request.backend != pipelines::Backend::kCpuDirect &&
-                           request.backend != pipelines::Backend::kCpuExpansion;
+    const bool simulated = pipelines::is_simulated(request.backend);
     const bool sharded = item.shard_count > 1;
     if (sharded) {
       // Admission routed this oversized shape through the shard planner:
@@ -328,19 +323,11 @@ void Server::run_solve(WorkerContext& ctx, const Pending& item) {
     if (simulated && !sharded) {
       run.warm_device = warm_device_for(ctx, request.spec);
     }
-    if (simulated) {
-      if (options_.autotune) {
-        tune::TuneOptions tune_options;
-        tune_options.device = run.device;
-        tune_options.timing = run.timing;
-        tune_options.energy = run.energy;
-        tune_options.profile = options_.profile;
-        tune_options.layout = run.mainloop.layout;
-        tuning_cache_.get_or_tune(request.spec.m, request.spec.n,
-                                  request.spec.k, request.backend,
-                                  tune_options);
-        run.geometry_resolver = &tuning_cache_;
-      }
+    if (simulated && options_.autotune) {
+      tuning_cache_.get_or_tune(request.spec.m, request.spec.n,
+                                request.spec.k, request.backend,
+                                tune::options_for(run, options_.profile));
+      run.geometry_resolver = &tuning_cache_;
     }
 
     const std::uint64_t base_seed = effective_fault_seed(request);
@@ -358,28 +345,13 @@ void Server::run_solve(WorkerContext& ctx, const Pending& item) {
               std::chrono::duration<double, std::milli>(ms));
         }
       }
-      std::unique_ptr<robust::FaultPlan> plan;
-      if (request.fault_rate > 0 && simulated) {
-        if (sharded) {
-          // One injector cannot say which device a fault lives on; derive
-          // an independent, reproducible plan per (shard, dispatch) from
-          // this attempt's seed instead.
-          const std::uint64_t seed = attempt_fault_seed(base_seed, attempt);
-          const double rate = request.fault_rate;
-          run.shards.injector_factory =
-              [seed, rate](std::size_t s, int d)
-              -> std::shared_ptr<gpusim::FaultInjector> {
-            return std::make_shared<robust::FaultPlan>(
-                robust::FaultPlanConfig::uniform(
-                    shard::shard_fault_seed(seed, s, d), rate));
-          };
-        } else {
-          plan = std::make_unique<robust::FaultPlan>(
-              robust::FaultPlanConfig::uniform(
-                  attempt_fault_seed(base_seed, attempt), request.fault_rate));
-          run.fault_injector = plan.get();
-        }
-      }
+      // Sharded attempts get an independent plan per (shard, dispatch)
+      // derived from this attempt's seed.
+      const auto plan =
+          simulated ? pipelines::attach_fault_plan(
+                          run, attempt_fault_seed(base_seed, attempt),
+                          request.fault_rate)
+                    : nullptr;
       result = pipelines::solve(instance, params, request.backend, run);
       run.fault_injector = nullptr;
       if (result.shards.has_value()) info.shards = result.shards->count();

@@ -20,19 +20,6 @@ namespace {
 using pipelines::RunOptions;
 using pipelines::Solution;
 
-Solution solution_of(pipelines::Backend backend) {
-  switch (backend) {
-    case pipelines::Backend::kSimFused:
-      return Solution::kFused;
-    case pipelines::Backend::kSimCudaUnfused:
-      return Solution::kCudaUnfused;
-    case pipelines::Backend::kSimCublasUnfused:
-      return Solution::kCublasUnfused;
-    default:
-      throw Error("sharded execution requires a simulated backend");
-  }
-}
-
 /// One (shard, dispatch) hand-out. `banned` is the worker that failed the
 /// previous dispatch (-1 = none): the queue refuses to give the task back
 /// to it unless it is the only worker, so a re-dispatch preferentially
@@ -155,7 +142,7 @@ pipelines::SolveResult run_sharded(const workload::Instance& instance,
                                    const core::KernelParams& params,
                                    pipelines::Backend backend,
                                    const RunOptions& options) {
-  const Solution solution = solution_of(backend);
+  const Solution solution = pipelines::solution_of(backend);
   const ShardSpec& spec = options.shards;
   KSUM_REQUIRE(options.fault_injector == nullptr,
                "sharded runs cannot take a single fault_injector — one "

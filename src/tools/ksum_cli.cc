@@ -29,22 +29,18 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
-#include "analytic/dense_cost.h"
 #include "blas/vector_ops.h"
 #include "common/flags.h"
 #include "common/timer.h"
 #include "config/profiles/device_profile.h"
 #include "core/knn_exact.h"
-#include "exec/thread_pool.h"
 #include "pipelines/batch.h"
 #include "pipelines/knn_pipeline.h"
 #include "pipelines/solver.h"
 #include "report/paper_report.h"
 #include "report/pipeline_printer.h"
-#include "robust/fault_plan.h"
-#include "shard/types.h"
+#include "tools/tool_flags.h"
 #include "tune/tile_search.h"
 #include "tune/tuning_cache.h"
 #include "workload/weights.h"
@@ -95,27 +91,8 @@ core::KernelParams params_from_flags(const FlagParser& flags,
   return params;
 }
 
-config::profiles::DeviceProfile profile_from_flags(const FlagParser& flags) {
-  return config::profiles::resolve(flags.get_string("profile", "gtx970"));
-}
-
-pipelines::RunOptions options_from_flags(
-    const FlagParser& flags, const config::profiles::DeviceProfile& profile) {
-  pipelines::RunOptions options;
-  options.device = profile.device;
-  options.timing = profile.timing;
-  options.energy = profile.energy;
-  if (flags.get_string("layout", "fig5") == "naive") {
-    options.mainloop.layout = gpukernels::TileLayout::kNaive;
-  }
-  options.mainloop.double_buffer = !flags.get_bool("no-double-buffer");
-  options.atomic_reduction = !flags.get_bool("staged-reduction");
-  options.fuse_norms = flags.get_bool("fuse-norms");
-  options.device.cache_globals_in_l1 = flags.get_bool("l1");
-  return options;
-}
-
 void declare_problem_flags(FlagParser& flags) {
+  tools::declare_device_flags(flags);
   flags.declare("m", "source point count (ragged sizes are zero-padded)")
       .declare("n", "target point count (ragged sizes are zero-padded)")
       .declare("k", "geometric dimension (ragged sizes are zero-padded)")
@@ -127,7 +104,6 @@ void declare_problem_flags(FlagParser& flags) {
       .declare("kernel",
                "kernel function: gaussian | laplace | matern | cauchy | "
                "polynomial")
-      .declare("layout", "shared-memory layout: fig5 | naive")
       .declare("no-double-buffer", "disable tile double buffering", false)
       .declare("staged-reduction",
                "two-pass inter-CTA reduction instead of atomicAdd", false)
@@ -135,140 +111,13 @@ void declare_problem_flags(FlagParser& flags) {
                "compute squared norms inside the fused kernel "
                "(beyond-the-paper optimisation)", false)
       .declare("l1", "cache global loads in the per-SM L1 (-dlcm=ca)", false)
-      .declare("profile",
-               "device profile: gtx970 | titanx-maxwell | modern, or a "
-               "ksum-device-profile-v1 JSON file")
       .declare("fault-rate",
                "per-opportunity fault-injection probability on every site "
                "(0 = no injection)")
       .declare("fault-seed", "fault-injection seed")
       .declare("robust",
                "enable the ABFT checks and the detect/retry/fallback "
-               "recovery policy", false)
-      .declare("help", "show this help", false);
-}
-
-/// Applies --shards/--shard-axis to `options`. `--shards=N` splits the run
-/// over N warm devices; 'auto' picks the smallest count whose per-shard
-/// arena fits the device budget. Throws ksum::Error (exit 2) for the flag
-/// conflicts sharding cannot honour: host backends have no devices to
-/// shard over, and the N-axis staged-partial merge is a fused-kernel
-/// contract (docs/SHARDING.md).
-void shards_from_flags(const FlagParser& flags, bool simulated,
-                       pipelines::Backend backend,
-                       pipelines::RunOptions& options) {
-  const std::string shards = flags.get_string("shards", "");
-  const std::string axis = flags.get_string("shard-axis", "auto");
-  KSUM_REQUIRE(axis == "m" || axis == "n" || axis == "auto",
-               "--shard-axis must be m, n or auto, got: " + axis);
-  if (shards.empty()) {
-    KSUM_REQUIRE(!flags.has("shard-axis"),
-                 "conflicting flags: --shard-axis qualifies --shards; give "
-                 "--shards=N|auto too");
-    return;
-  }
-  KSUM_REQUIRE(simulated,
-               "conflicting flags: --shards needs a simulated backend "
-               "(each shard runs on its own simulated device)");
-  KSUM_REQUIRE(axis != "n" || backend == pipelines::Backend::kSimFused,
-               "conflicting flags: --shard-axis=n needs --solution=fused "
-               "(the staged-partial merge replays the fused kernel's "
-               "reduction)");
-  if (shards == "auto") {
-    options.shards.count = 0;
-  } else {
-    long long count = 0;
-    try {
-      count = std::stoll(shards);
-    } catch (const std::exception&) {
-      throw Error("--shards must be a positive integer or 'auto', got: " +
-                  shards);
-    }
-    KSUM_REQUIRE(count >= 1,
-                 "--shards must be a positive integer or 'auto', got: " +
-                     shards);
-    options.shards.count = std::size_t(count);
-  }
-  if (axis == "m") {
-    options.shards.axis = shard::ShardAxis::kM;
-  } else if (axis == "n") {
-    options.shards.axis = shard::ShardAxis::kN;
-  }
-}
-
-/// Applies --tree-eps/--tree to `options`. Returns the cost-model adapter
-/// TreeMode::kAuto consults — keep it alive through the solve. Throws
-/// ksum::Error (exit 2) for the combinations the treecode cannot honour
-/// (docs/TREECODE.md): host and unfused backends have no fused tile kernel
-/// for the near field, and fault injection voids the ε guarantee.
-std::unique_ptr<tree::DenseCostModel> tree_from_flags(
-    const FlagParser& flags, pipelines::Backend backend,
-    pipelines::RunOptions& options) {
-  const std::string mode = flags.get_string("tree", "force");
-  KSUM_REQUIRE(mode == "force" || mode == "auto",
-               "--tree must be force or auto, got: " + mode);
-  if (!flags.has("tree-eps")) {
-    KSUM_REQUIRE(!flags.has("tree"),
-                 "conflicting flags: --tree qualifies --tree-eps; give "
-                 "--tree-eps=EPS too");
-    return nullptr;
-  }
-  const double eps = flags.get_double("tree-eps", 0.0);
-  KSUM_REQUIRE(eps >= 0.0,
-               "--tree-eps must be non-negative, got: " + std::to_string(eps));
-  KSUM_REQUIRE(backend == pipelines::Backend::kSimFused,
-               "conflicting flags: --tree-eps needs --solution=fused "
-               "(the near field runs through the fused tile kernel)");
-  KSUM_REQUIRE(flags.get_double("fault-rate", 0.0) == 0.0,
-               "conflicting flags: --tree-eps cannot run under --fault-rate "
-               "(an injected fault in a near-field block voids the eps "
-               "guarantee)");
-  options.tree.eps = eps;
-  options.tree.box_leaf = flags.get_size("tree-box-leaf", options.tree.box_leaf);
-  options.tree.row_leaf = flags.get_size("tree-row-leaf", options.tree.row_leaf);
-  KSUM_REQUIRE(options.tree.box_leaf >= 1 && options.tree.row_leaf >= 1,
-               "--tree-box-leaf and --tree-row-leaf must be positive");
-  if (mode == "auto") {
-    options.tree.mode = tree::TreeMode::kAuto;
-    auto model = std::make_unique<analytic::DenseCost>(options);
-    options.tree.cost_model = model.get();
-    return model;
-  }
-  return nullptr;
-}
-
-/// Builds the fault injector requested by --fault-rate/--fault-seed (null
-/// when injection is off) and flips on checks/recovery for --robust. The
-/// returned plan owns the injector `options` points at — keep it alive
-/// through the solve. Sharded runs reject a plain injector (one stream
-/// cannot say which device a fault lives on), so when options.shards is
-/// enabled the seed feeds a per-(shard, dispatch) factory instead.
-std::unique_ptr<robust::FaultPlan> robustness_from_flags(
-    const FlagParser& flags, pipelines::RunOptions& options) {
-  std::unique_ptr<robust::FaultPlan> plan;
-  const double rate = flags.get_double("fault-rate", 0.0);
-  KSUM_REQUIRE(rate >= 0.0 && rate <= 1.0, "fault rate must be in [0, 1]");
-  if (rate > 0.0) {
-    const auto seed = std::uint64_t(flags.get_int("fault-seed", 1));
-    if (options.shards.enabled()) {
-      options.shards.injector_factory =
-          [seed, rate](std::size_t s, int d)
-          -> std::shared_ptr<gpusim::FaultInjector> {
-        return std::make_shared<robust::FaultPlan>(
-            robust::FaultPlanConfig::uniform(
-                shard::shard_fault_seed(seed, s, d), rate));
-      };
-    } else {
-      plan = std::make_unique<robust::FaultPlan>(
-          robust::FaultPlanConfig::uniform(seed, rate));
-      options.fault_injector = plan.get();
-    }
-  }
-  if (flags.get_bool("robust")) {
-    options.checks.enabled = true;
-    options.recovery.enabled = true;
-  }
-  return plan;
+               "recovery policy", false);
 }
 
 /// Prints the executed shard plan and per-shard outcomes — pure function of
@@ -326,27 +175,13 @@ std::string join_reasons(const std::vector<std::string>& reasons) {
 /// false (exit 1) after printing the named budget violations when an
 /// explicit geometry is rejected by the resource checks. `cache` must
 /// outlive the solve when --tile=auto attaches it as the resolver.
-/// Tuner options matching a solve's RunOptions (same device state, same
-/// layout), keyed under the named profile so cached winners never leak
-/// across architectures.
-tune::TuneOptions tune_options_for(const pipelines::RunOptions& options,
-                                   const std::string& profile_name) {
-  tune::TuneOptions tune_options;
-  tune_options.device = options.device;
-  tune_options.timing = options.timing;
-  tune_options.energy = options.energy;
-  tune_options.layout = options.mainloop.layout;
-  tune_options.profile = profile_name;
-  return tune_options;
-}
-
 bool apply_tile_flag(const std::string& tile, std::size_t m, std::size_t n,
                      std::size_t k, pipelines::Backend backend,
                      const std::string& profile_name, tune::TuningCache& cache,
                      pipelines::RunOptions& options) {
   if (tile == "auto") {
-    const auto tune_options = tune_options_for(options, profile_name);
-    const auto entry = cache.get_or_tune(m, n, k, backend, tune_options);
+    const auto entry = cache.get_or_tune(
+        m, n, k, backend, tune::options_for(options, profile_name));
     options.mainloop.geometry = entry.geometry;
     std::printf("tile geometry: %s (autotuned)\n",
                 entry.geometry.to_string().c_str());
@@ -372,6 +207,7 @@ bool apply_tile_flag(const std::string& tile, std::size_t m, std::size_t n,
 /// function of the requests, so the report is byte-identical for any
 /// --threads value (wall-clock goes to stderr).
 int run_batch(const FlagParser& flags, pipelines::Backend backend,
+              int threads, const tools::FaultFlags& faults,
               const std::string& profile_name,
               const pipelines::RunOptions& options) {
   pipelines::BatchRequest base;
@@ -379,13 +215,7 @@ int run_batch(const FlagParser& flags, pipelines::Backend backend,
   base.params = params_from_flags(flags, base.spec);
   base.backend = backend;
   base.options = options;
-  base.fault_rate = flags.get_double("fault-rate", 0.0);
-  KSUM_REQUIRE(base.fault_rate >= 0.0 && base.fault_rate <= 1.0,
-               "fault rate must be in [0, 1]");
-  if (flags.get_bool("robust")) {
-    base.options.checks.enabled = true;
-    base.options.recovery.enabled = true;
-  }
+  base.fault_rate = faults.rate;
   base.verify = flags.get_bool("verify");
 
   // --tile applies to the whole batch: a fixed geometry is vetted once and
@@ -413,7 +243,7 @@ int run_batch(const FlagParser& flags, pipelines::Backend backend,
   KSUM_REQUIRE(!requests.empty(), "batch file has no requests: " + path);
 
   if (tile == "auto") {
-    const auto tune_options = tune_options_for(base.options, profile_name);
+    const auto tune_options = tune::options_for(base.options, profile_name);
     for (const auto& r : requests) {
       tile_cache.get_or_tune(r.spec.m, r.spec.n, r.spec.k, backend,
                              tune_options);
@@ -421,17 +251,16 @@ int run_batch(const FlagParser& flags, pipelines::Backend backend,
     std::printf("tile geometry: autotuned per shape (%zu cache entries)\n",
                 tile_cache.size());
   }
-  if (flags.has("fault-seed")) {
+  if (faults.seed.has_value()) {
     // An explicit base seed still gives every request an independent
     // stream, offset by its submission index (replayable end to end).
-    const auto seed = std::uint64_t(flags.get_int("fault-seed", 1));
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      requests[i].fault_seed = seed + i;
+      requests[i].fault_seed = *faults.seed + i;
     }
   }
 
   pipelines::BatchOptions batch_options;
-  batch_options.threads = int(flags.get_int("threads", 1));
+  batch_options.threads = threads;
 
   Timer timer;
   const auto results = pipelines::solve_many(requests, batch_options);
@@ -518,83 +347,51 @@ int cmd_solve(int argc, const char* const* argv) {
                "treecode box capacity for the weighted points (default 256)")
       .declare("tree-row-leaf",
                "treecode row-cluster capacity (default 128)");
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-cli solve — run one kernel summation\n%s",
-                flags.usage().c_str());
+  if (tools::parse_or_help(flags, argc, argv, 2,
+                           "ksum-cli solve — run one kernel summation",
+                           "solve")) {
     return 0;
   }
 
-  KSUM_REQUIRE(flags.positional().empty(),
-               "solve takes no positional arguments\n" + flags.usage());
-
-  const std::string name = flags.get_string("solution", "fused");
-  pipelines::Backend backend;
-  if (name == "fused") {
-    backend = pipelines::Backend::kSimFused;
-  } else if (name == "cuda-unfused") {
-    backend = pipelines::Backend::kSimCudaUnfused;
-  } else if (name == "cublas-unfused") {
-    backend = pipelines::Backend::kSimCublasUnfused;
-  } else if (name == "cpu-direct") {
-    backend = pipelines::Backend::kCpuDirect;
-  } else if (name == "cpu-expansion") {
-    backend = pipelines::Backend::kCpuExpansion;
-  } else {
-    throw Error("unknown --solution: " + name);
-  }
-
+  const auto backend =
+      tools::solution_from_flags(flags, /*simulated_only=*/false);
   // --threads is validated before any conflict checks so `--threads=0` is
   // always the usage error the contract promises (exit 2).
-  const long long threads = flags.get_int("threads", 1);
-  KSUM_REQUIRE(threads >= 1 && threads <= exec::ThreadPool::kMaxThreads,
-               "--threads must be in [1, " +
-                   std::to_string(exec::ThreadPool::kMaxThreads) + "], got " +
-                   std::to_string(threads));
-  KSUM_REQUIRE(!flags.has("threads") || flags.has("batch"),
-               "conflicting flags: --threads drives --batch execution; give "
-               "--batch=FILE too");
-
-  const bool simulated = backend == pipelines::Backend::kSimFused ||
-                         backend == pipelines::Backend::kSimCudaUnfused ||
-                         backend == pipelines::Backend::kSimCublasUnfused;
-  KSUM_REQUIRE(!flags.get_bool("fuse-norms") ||
-                   backend == pipelines::Backend::kSimFused,
-               "conflicting flags: --fuse-norms only applies to "
-               "--solution=fused");
-  KSUM_REQUIRE(!flags.get_bool("staged-reduction") ||
-                   backend == pipelines::Backend::kSimFused,
-               "conflicting flags: --staged-reduction only applies to "
-               "--solution=fused");
-  KSUM_REQUIRE(simulated || !flags.get_bool("robust"),
-               "conflicting flags: --robust needs a simulated backend "
-               "(--solution=" + name + " runs on the host)");
-  KSUM_REQUIRE(simulated || flags.get_double("fault-rate", 0.0) == 0.0,
-               "conflicting flags: --fault-rate needs a simulated backend "
-               "(--solution=" + name + " runs on the host)");
-  KSUM_REQUIRE(simulated || flags.get_string("tile", "").empty(),
+  const int threads = tools::threads_from_flags(flags);
+  const std::string tile = flags.get_string("tile", "");
+  KSUM_REQUIRE(pipelines::is_simulated(backend) || tile.empty(),
                "conflicting flags: --tile needs a simulated backend "
-               "(--solution=" + name + " runs on the host)");
+               "(--solution=" + pipelines::to_string(backend) +
+                   " runs on the host)");
+  KSUM_REQUIRE(!flags.has("tree-eps") ||
+                   backend == pipelines::Backend::kSimFused,
+               "conflicting flags: --tree-eps needs --solution=fused "
+               "(the near field runs through the fused tile kernel)");
 
-  const auto profile = profile_from_flags(flags);
-  auto options = options_from_flags(flags, profile);
-  shards_from_flags(flags, simulated, backend, options);
-  const auto dense_cost = tree_from_flags(flags, backend, options);
+  const auto device = tools::device_from_flags(flags);
+  auto options = device.run_options();
+  tools::kernel_flags_from_flags(
+      flags, backend == pipelines::Backend::kSimFused, options);
+  const auto faults = tools::faults_from_flags(flags, backend, options);
+  tools::shards_from_flags(flags, backend, options);
+  const auto dense_cost = tools::tree_from_flags(flags, options);
 
   if (flags.has("batch")) {
-    return run_batch(flags, backend, profile.name, options);
+    return run_batch(flags, backend, threads, faults, device.profile.name,
+                     options);
   }
 
   const auto spec = spec_from_flags(flags);
   const auto params = params_from_flags(flags, spec);
-  const auto plan = robustness_from_flags(flags, options);
+  const auto plan = pipelines::attach_fault_plan(
+      options, faults.seed.value_or(1), faults.rate);
   const auto instance = workload::make_instance(spec);
 
   tune::TuningCache tile_cache;
-  tile_cache.set_profile(profile.name);
-  const std::string tile = flags.get_string("tile", "");
-  if (!tile.empty() && !apply_tile_flag(tile, spec.m, spec.n, spec.k, backend,
-                                        profile.name, tile_cache, options)) {
+  tile_cache.set_profile(device.profile.name);
+  if (!tile.empty() &&
+      !apply_tile_flag(tile, spec.m, spec.n, spec.k, backend,
+                       device.profile.name, tile_cache, options)) {
     return 1;
   }
 
@@ -644,19 +441,18 @@ int cmd_knn(int argc, const char* const* argv) {
   flags.declare("neighbors", "neighbours per query (1..16)")
       .declare("unfused", "use the unfused baseline", false)
       .declare("verify", "cross-check against the host oracle", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-cli knn — k-nearest-neighbour search\n%s",
-                flags.usage().c_str());
+  if (tools::parse_or_help(flags, argc, argv, 2,
+                           "ksum-cli knn — k-nearest-neighbour search",
+                           "knn")) {
     return 0;
   }
-
-  KSUM_REQUIRE(flags.positional().empty(),
-               "knn takes no positional arguments\n" + flags.usage());
   KSUM_REQUIRE(!flags.get_bool("robust") &&
                    flags.get_double("fault-rate", 0.0) == 0.0,
                "conflicting flags: the kNN pipelines have no ABFT fork; "
                "--robust/--fault-rate apply to solve only");
+
+  auto knn_options = tools::device_from_flags(flags).run_options();
+  tools::kernel_flags_from_flags(flags, /*fused_solve=*/false, knn_options);
 
   const auto spec = spec_from_flags(flags);
   const auto instance = workload::make_instance(spec);
@@ -665,8 +461,6 @@ int cmd_knn(int argc, const char* const* argv) {
   const auto solution = flags.get_bool("unfused")
                             ? pipelines::KnnSolution::kUnfused
                             : pipelines::KnnSolution::kFused;
-  const auto profile = profile_from_flags(flags);
-  const auto knn_options = options_from_flags(flags, profile);
   const auto report =
       pipelines::run_knn_pipeline(solution, instance, k_nn, knn_options);
   report::knn_kernel_table(report, knn_options.device).print(std::cout);
@@ -688,12 +482,10 @@ int cmd_knn(int argc, const char* const* argv) {
 int cmd_sweep(int argc, const char* const* argv) {
   FlagParser flags;
   flags.declare("fast", "Table-II grid instead of the full figure grid",
-                false)
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-cli sweep — regenerate every paper table/figure\n%s",
-                flags.usage().c_str());
+                false);
+  if (tools::parse_or_help(
+          flags, argc, argv, 2,
+          "ksum-cli sweep — regenerate every paper table/figure")) {
     return 0;
   }
   analytic::PipelineModel model;
@@ -717,20 +509,14 @@ int cmd_sweep(int argc, const char* const* argv) {
 
 int cmd_info(int argc, const char* const* argv) {
   FlagParser flags;
-  flags.declare("profile",
-                "device profile: gtx970 | titanx-maxwell | modern, or a "
-                "ksum-device-profile-v1 JSON file")
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-cli info — describe the simulated device\n%s",
-                flags.usage().c_str());
+  tools::declare_device_flags(flags, /*with_layout=*/false);
+  if (tools::parse_or_help(flags, argc, argv, 2,
+                           "ksum-cli info — describe the simulated device",
+                           "info")) {
     return 0;
   }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "info takes no positional arguments\n" + flags.usage());
 
-  const auto profile = profile_from_flags(flags);
+  const auto profile = tools::device_from_flags(flags).profile;
   // The paper device prints exactly the pre-profile report (so
   // --profile=gtx970 is byte-identical to no flag); any other profile adds
   // its identity line and titles the table with its own name.
@@ -758,16 +544,13 @@ int cmd_profile(int argc, const char* const* argv) {
   FlagParser flags;
   flags.declare("list", "list the built-in profiles", false)
       .declare("show", "print a profile (built-in name or file) as JSON")
-      .declare("validate", "validate a ksum-device-profile-v1 file")
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-cli profile — inspect and validate device profiles\n%s",
-                flags.usage().c_str());
+      .declare("validate", "validate a ksum-device-profile-v1 file");
+  if (tools::parse_or_help(
+          flags, argc, argv, 2,
+          "ksum-cli profile — inspect and validate device profiles",
+          "profile")) {
     return 0;
   }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "profile takes no positional arguments\n" + flags.usage());
   const int modes = (flags.get_bool("list") ? 1 : 0) +
                     (flags.has("show") ? 1 : 0) +
                     (flags.has("validate") ? 1 : 0);
@@ -807,17 +590,13 @@ int cmd_profile(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string usage =
-      "usage: ksum-cli <solve|knn|sweep|info|profile> [flags]\n"
-      "       ksum-cli <subcommand> --help\n"
-      "exit codes: 0 ok, 1 verification/recovery failure, 2 invalid input, "
-      "3 internal error\n";
-  if (argc < 2) {
-    std::fputs(usage.c_str(), stderr);
-    return 2;
-  }
-  const std::string cmd = argv[1];
-  try {
+  return tools::run_main("ksum-cli", [&] {
+    const std::string usage =
+        "usage: ksum-cli <solve|knn|sweep|info|profile> [flags]\n"
+        "       ksum-cli <subcommand> --help\n"
+        "exit codes: 0 ok, 1 verification/recovery failure, 2 invalid "
+        "input, 3 internal error\n";
+    const std::string cmd = argc < 2 ? "" : argv[1];
     if (cmd == "solve") return cmd_solve(argc, argv);
     if (cmd == "knn") return cmd_knn(argc, argv);
     if (cmd == "sweep") return cmd_sweep(argc, argv);
@@ -825,14 +604,5 @@ int main(int argc, char** argv) {
     if (cmd == "profile") return cmd_profile(argc, argv);
     std::fputs(usage.c_str(), stderr);
     return 2;
-  } catch (const ksum::InternalError& e) {
-    std::fprintf(stderr, "ksum-cli: internal error: %s\n", e.what());
-    return 3;
-  } catch (const ksum::Error& e) {
-    std::fprintf(stderr, "ksum-cli: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ksum-cli: %s\n", e.what());
-    return 3;
-  }
+  });
 }

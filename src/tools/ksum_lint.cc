@@ -23,10 +23,9 @@
 #include "analysis/analyzer.h"
 #include "analysis/program_registry.h"
 #include "common/error.h"
-#include "common/flags.h"
 #include "config/device_spec.h"
-#include "config/profiles/device_profile.h"
 #include "gpusim/access_site.h"
+#include "tools/tool_flags.h"
 
 namespace {
 
@@ -101,19 +100,12 @@ LintTally lint_program(const analysis::RegisteredProgram& program,
 
 int cmd_lint(int argc, const char* const* argv) {
   FlagParser flags;
+  tools::declare_device_flags(flags);
   flags.declare("program", "lint only the named program (default: all)");
-  flags.declare("layout", "shared-memory tile layout: fig5 (default), naive");
-  flags.declare("profile",
-                "device profile: gtx970 | titanx-maxwell | modern, or a "
-                "ksum-device-profile-v1 JSON file");
   flags.declare("list", "list registered programs and exit", false);
   flags.declare("verbose",
                 "print info-level findings and per-site statistics", false);
-  flags.declare("help", "show this help", false);
-  flags.parse(argc, argv);
-
-  if (flags.get_bool("help")) {
-    std::printf("usage: ksum-lint [flags]\n%s", flags.usage().c_str());
+  if (tools::parse_or_help(flags, argc, argv, 1, "usage: ksum-lint [flags]")) {
     return 0;
   }
   if (flags.get_bool("list")) {
@@ -124,13 +116,9 @@ int cmd_lint(int argc, const char* const* argv) {
     return 0;
   }
 
+  const auto device = tools::device_from_flags(flags);
   analysis::ProgramOptions options;
-  const std::string layout = flags.get_string("layout", "fig5");
-  if (layout == "naive") {
-    options.layout = gpukernels::TileLayout::kNaive;
-  } else if (layout != "fig5") {
-    throw Error("unknown --layout: " + layout);
-  }
+  options.layout = device.layout;
 
   std::vector<const analysis::RegisteredProgram*> selected;
   if (flags.has("program")) {
@@ -146,11 +134,10 @@ int cmd_lint(int argc, const char* const* argv) {
     }
   }
 
-  const auto dev =
-      config::profiles::resolve(flags.get_string("profile", "gtx970"));
   LintTally total;
   for (const auto* program : selected) {
-    const LintTally tally = lint_program(*program, options, dev.device,
+    const LintTally tally = lint_program(*program, options,
+                                         device.profile.device,
                                          flags.get_bool("verbose"));
     total.errors += tally.errors;
     total.warnings += tally.warnings;
@@ -164,16 +151,5 @@ int cmd_lint(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return cmd_lint(argc, argv);
-  } catch (const ksum::InternalError& e) {
-    std::fprintf(stderr, "ksum-lint: internal error: %s\n", e.what());
-    return 3;
-  } catch (const ksum::Error& e) {
-    std::fprintf(stderr, "ksum-lint: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ksum-lint: %s\n", e.what());
-    return 3;
-  }
+  return tools::run_main("ksum-lint", [&] { return cmd_lint(argc, argv); });
 }

@@ -54,20 +54,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <string>
 
 #include "analysis/program_registry.h"
 #include "analytic/dense_cost.h"
 #include "common/error.h"
-#include "common/flags.h"
-#include "config/device_spec.h"
-#include "config/energy_spec.h"
-#include "config/profiles/device_profile.h"
-#include "config/timing_spec.h"
 #include "core/exact.h"
 #include "exec/batch_engine.h"
-#include "exec/thread_pool.h"
 #include "gpukernels/device_workspace.h"
 #include "gpukernels/fused_ksum.h"
 #include "gpukernels/norms.h"
@@ -79,6 +72,7 @@
 #include "profile/trace_export.h"
 #include "shard/plan.h"
 #include "shard/runner.h"
+#include "tools/tool_flags.h"
 #include "tree/cost.h"
 #include "tree/plan.h"
 #include "workload/padding.h"
@@ -95,13 +89,6 @@ std::string iso_timestamp() {
   gmtime_r(&now, &tm_utc);
   std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
   return buf;
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open " + path + " for writing");
-  out << text;
-  KSUM_CHECK_MSG(static_cast<bool>(out), "write to " + path + " failed");
 }
 
 void print_human_report(const profile::ProgramProfile& prof,
@@ -177,10 +164,8 @@ void print_human_report(const profile::ProgramProfile& prof,
   }
 }
 
-/// Runs one registered program on a fresh device with a profiler attached
-/// and returns its finalized, schema-validated ksum-prof-v1 record (no
-/// timestamp — callers add one only where determinism does not matter).
-profile::Json profile_program_record(
+/// Runs one registered program on a fresh device with a profiler attached.
+profile::ProgramProfile profile_program(
     const analysis::RegisteredProgram& program,
     const analysis::ProgramOptions& options,
     const config::profiles::DeviceProfile& dev) {
@@ -192,12 +177,17 @@ profile::Json profile_program_record(
     raw = profiler.take_launches();
   }
   const auto shape = analysis::registry_shape();
-  const profile::ProgramProfile prof = profile::build_program_profile(
-      program.name, shape.m, shape.n, shape.k, dev.device, dev.timing,
-      dev.energy, std::move(raw), dev.name);
-  const profile::Json record = profile::profile_to_json(prof);
+  return profile::build_program_profile(program.name, shape.m, shape.n,
+                                        shape.k, dev.device, dev.timing,
+                                        dev.energy, std::move(raw), dev.name);
+}
+
+/// Self-check: never emit a record its schema validator would reject (a
+/// record that fails is a bug here, an internal error).
+profile::Json self_checked(profile::Json record,
+                           void (*validate)(const profile::Json&)) {
   try {
-    profile::validate_profile_json(record);
+    validate(record);
   } catch (const Error& e) {
     throw InternalError(std::string("emitted record failed validation: ") +
                         e.what());
@@ -207,18 +197,10 @@ profile::Json profile_program_record(
 
 /// The --batch path: profiles every named program concurrently (each worker
 /// builds its own device/profiler) and merges the records in list order.
-int run_batch_prof(const FlagParser& flags,
+int run_batch_prof(const FlagParser& flags, int threads,
                    const analysis::ProgramOptions& options,
                    const config::profiles::DeviceProfile& dev,
                    const std::string& usage) {
-  KSUM_REQUIRE(flags.positional().empty(),
-               "--batch takes no positional program\n" + usage);
-  KSUM_REQUIRE(!flags.has("trace"),
-               "conflicting flags: --trace profiles a single program");
-  KSUM_REQUIRE(!(flags.get_bool("json") && flags.has("json-out")),
-               "conflicting flags: use --json (stdout) or --json-out=FILE, "
-               "not both\n" + usage);
-
   std::vector<const analysis::RegisteredProgram*> programs;
   const std::string list = flags.get_string("batch", "");
   if (list == "all") {
@@ -245,33 +227,22 @@ int run_batch_prof(const FlagParser& flags,
     KSUM_REQUIRE(!programs.empty(), "--batch names no programs\n" + usage);
   }
 
-  exec::ThreadPool pool(static_cast<int>(flags.get_int("threads", 1)));
+  exec::ThreadPool pool(threads);
   const std::vector<profile::Json> records =
       exec::map_ordered(pool, programs.size(), [&](std::size_t index) {
-        return profile_program_record(*programs[index], options, dev);
+        return self_checked(
+            profile::profile_to_json(profile_program(*programs[index],
+                                                     options, dev)),
+            profile::validate_profile_json);
       });
 
   // Inner records stay timestamp-free so the merged document is a pure
   // function of (program list, layout) — byte-identical across --threads.
-  const profile::Json merged = profile::batch_profiles_to_json(records);
-  try {
-    profile::validate_profile_batch_json(merged);
-  } catch (const Error& e) {
-    throw InternalError(std::string("merged batch record failed "
-                                    "validation: ") + e.what());
-  }
+  const profile::Json merged =
+      self_checked(profile::batch_profiles_to_json(records),
+                   profile::validate_profile_batch_json);
 
-  if (flags.has("json-out")) {
-    const std::string path = flags.get_string("json-out", "");
-    KSUM_REQUIRE(!path.empty(), "--json-out needs a file path");
-    write_file(path, merged.dump());
-    std::fprintf(stderr, "ksum-prof: wrote batch record to %s\n",
-                 path.c_str());
-  }
-  if (flags.get_bool("json")) {
-    std::printf("%s", merged.dump().c_str());
-    return 0;
-  }
+  if (tools::emit_json(flags, merged, "ksum-prof", "batch record")) return 0;
   std::printf("batch of %zu program(s)\n", records.size());
   for (const profile::Json& record : records) {
     const profile::Json& totals = record.at("totals");
@@ -296,38 +267,8 @@ int run_batch_prof(const FlagParser& flags,
 /// N-axis shards running the staged reduction the merge contract requires.
 /// The per-shard ksum-prof-v1 records merge into one ksum-prof-shard-v1
 /// document (profile/profile_json.h), validated before it is written.
-int run_shard_prof(const FlagParser& flags, const std::string& layout_name,
-                   const analysis::ProgramOptions& options,
-                   const config::profiles::DeviceProfile& dev,
-                   const std::string& usage) {
-  KSUM_REQUIRE(flags.positional().empty(),
-               "--shards takes no positional program (it profiles the "
-               "sharded fused pipeline)\n" + usage);
-  KSUM_REQUIRE(!flags.has("batch"),
-               "conflicting flags: --shards and --batch are separate modes");
-  KSUM_REQUIRE(!flags.has("trace"),
-               "conflicting flags: --trace profiles a single program");
-  KSUM_REQUIRE(!flags.has("top-sites"),
-               "conflicting flags: --top-sites shapes the single-program "
-               "human report");
-  KSUM_REQUIRE(!(flags.get_bool("json") && flags.has("json-out")),
-               "conflicting flags: use --json (stdout) or --json-out=FILE, "
-               "not both\n" + usage);
-
-  const long long count = flags.get_int("shards", 0);
-  KSUM_REQUIRE(count >= 1 && count <= 64,
-               "--shards must be in [1, 64], got " + std::to_string(count));
-  const std::string axis_name = flags.get_string("shard-axis", "auto");
-  shard::ShardAxis axis = shard::ShardAxis::kAuto;
-  if (axis_name == "m") {
-    axis = shard::ShardAxis::kM;
-  } else if (axis_name == "n") {
-    axis = shard::ShardAxis::kN;
-  } else {
-    KSUM_REQUIRE(axis_name == "auto",
-                 "--shard-axis must be m, n or auto, got: " + axis_name);
-  }
-
+int run_shard_prof(const FlagParser& flags, const pipelines::RunOptions& run,
+                   const config::profiles::DeviceProfile& dev) {
   // Fixed shape: 8 CTA-aligned blocks on either axis, so splits up to 8-way
   // are exercisable on both. The record stays a pure function of
   // (count, axis, layout).
@@ -340,13 +281,6 @@ int run_shard_prof(const FlagParser& flags, const std::string& layout_name,
   const workload::Instance instance = workload::make_instance(spec);
   const core::KernelParams params = core::params_from_spec(spec);
 
-  pipelines::RunOptions run;
-  run.device = dev.device;
-  run.timing = dev.timing;
-  run.energy = dev.energy;
-  run.mainloop.layout = options.layout;
-  run.shards.count = static_cast<std::size_t>(count);
-  run.shards.axis = axis;
   const shard::ShardPlan plan = shard::plan_shards(
       spec.m, spec.n, spec.k, run, pipelines::Solution::kFused);
 
@@ -374,7 +308,7 @@ int run_shard_prof(const FlagParser& flags, const std::string& layout_name,
       gpukernels::run_norms_a(device, ws);
       gpukernels::run_norms_b(device, ws);
       gpukernels::FusedOptions fopts;
-      fopts.mainloop.layout = options.layout;
+      fopts.mainloop.layout = run.mainloop.layout;
       // N-axis shards run the staged (non-atomic) reduction — the merge
       // replays its fold — so their profile shows the real kernel stream,
       // second reduction pass included.
@@ -393,30 +327,20 @@ int run_shard_prof(const FlagParser& flags, const std::string& layout_name,
     entries.push_back(std::move(entry));
   }
 
-  const profile::Json record = profile::shard_profiles_to_json(
-      shard::to_string(plan.axis), spec.m, spec.n, spec.k, entries);
-  try {
-    profile::validate_profile_shard_json(record);
-  } catch (const Error& e) {
-    throw InternalError(std::string("emitted shard record failed "
-                                    "validation: ") + e.what());
-  }
+  const profile::Json record =
+      self_checked(profile::shard_profiles_to_json(shard::to_string(plan.axis),
+                                                   spec.m, spec.n, spec.k,
+                                                   entries),
+                   profile::validate_profile_shard_json);
 
-  if (flags.has("json-out")) {
-    const std::string path = flags.get_string("json-out", "");
-    KSUM_REQUIRE(!path.empty(), "--json-out needs a file path");
-    write_file(path, record.dump());
-    std::fprintf(stderr, "ksum-prof: wrote shard record to %s\n",
-                 path.c_str());
-  }
-  if (flags.get_bool("json")) {
-    std::printf("%s", record.dump().c_str());
-    return 0;
-  }
+  if (tools::emit_json(flags, record, "ksum-prof", "shard record")) return 0;
   std::printf("sharded fused pipeline %zux%zu K=%zu, axis=%s, %zu "
               "shard(s), %s layout\n",
               spec.m, spec.n, spec.k, shard::to_string(plan.axis).c_str(),
-              plan.count(), layout_name.c_str());
+              plan.count(),
+              run.mainloop.layout == gpukernels::TileLayout::kNaive
+                  ? "naive"
+                  : "fig5");
   for (const profile::ShardProfileEntry& entry : entries) {
     const profile::Json& totals = entry.profile.at("totals");
     std::printf("  shard %zu [%4zu, %4zu)  %zu launch(es)  %8.3f ms  "
@@ -445,34 +369,11 @@ int run_shard_prof(const FlagParser& flags, const std::string& layout_name,
 ///            "far1_pairs","near_interactions","near_fraction",
 ///            "budget","bound_total"},
 ///    "model":{"dense_seconds","tree_seconds","speedup"}}
-int run_tree_prof(const FlagParser& flags,
-                  const config::profiles::DeviceProfile& dev,
-                  const std::string& usage) {
-  KSUM_REQUIRE(flags.positional().empty(),
-               "--tree-eps takes no positional program (it profiles the "
-               "treecode plan)\n" + usage);
-  KSUM_REQUIRE(!flags.has("batch"),
-               "conflicting flags: --tree-eps and --batch are separate "
-               "modes");
-  KSUM_REQUIRE(!flags.has("shards"),
-               "conflicting flags: --tree-eps and --shards are separate "
-               "modes");
-  KSUM_REQUIRE(!flags.has("trace"),
-               "conflicting flags: --trace profiles a single program");
-  KSUM_REQUIRE(!flags.has("top-sites"),
-               "conflicting flags: --top-sites shapes the single-program "
-               "human report");
-  KSUM_REQUIRE(!(flags.get_bool("json") && flags.has("json-out")),
-               "conflicting flags: use --json (stdout) or --json-out=FILE, "
-               "not both\n" + usage);
-
-  const double eps = flags.get_double("tree-eps", 0.0);
+int run_tree_prof(const FlagParser& flags, const pipelines::RunOptions& run,
+                  const config::profiles::DeviceProfile& dev) {
+  const double eps = run.tree.eps;
   KSUM_REQUIRE(eps > 0.0,
                "--tree-eps must be positive, got " + std::to_string(eps));
-  const long long box_leaf = flags.get_int("tree-box-leaf", 64);
-  const long long row_leaf = flags.get_int("tree-row-leaf", 64);
-  KSUM_REQUIRE(box_leaf >= 1 && row_leaf >= 1,
-               "--tree-box-leaf and --tree-row-leaf must be positive");
 
   // Fixed far-field-friendly shape: low K and a bandwidth far below the
   // box diameter, so the plan has a real near/far mix to price.
@@ -485,18 +386,13 @@ int run_tree_prof(const FlagParser& flags,
   const workload::Instance instance = workload::make_instance(spec);
   const core::KernelParams params = core::params_from_spec(spec);
 
-  tree::TreeSpec tspec;
-  tspec.eps = eps;
-  tspec.box_leaf = static_cast<std::size_t>(box_leaf);
-  tspec.row_leaf = static_cast<std::size_t>(row_leaf);
-  const tree::TreePlan plan = tree::build_plan(instance, params, tspec);
+  const tree::TreePlan plan = tree::build_plan(instance, params, run.tree);
 
-  // Both sides priced exactly as ksum-cli --tree=auto prices them.
-  pipelines::RunOptions run;
-  run.device = dev.device;
-  run.timing = dev.timing;
-  run.energy = dev.energy;
-  const analytic::DenseCost dense(run);
+  // Both sides priced as ksum-cli --tree=auto prices a default (fig5) solve
+  // on this device; --layout shapes the program modes only.
+  pipelines::RunOptions dense_run = run;
+  dense_run.mainloop.layout = gpukernels::TileLayout::kFig5;
+  const analytic::DenseCost dense(dense_run);
   const double dense_seconds = dense.dense_seconds(spec.m, spec.n, spec.k);
   const double tree_seconds =
       tree::tree_seconds_estimate(plan, spec.k, dense, dev.device);
@@ -535,17 +431,7 @@ int run_tree_prof(const FlagParser& flags,
     throw InternalError("emitted tree record violates bound_total <= eps");
   }
 
-  if (flags.has("json-out")) {
-    const std::string path = flags.get_string("json-out", "");
-    KSUM_REQUIRE(!path.empty(), "--json-out needs a file path");
-    write_file(path, record.dump());
-    std::fprintf(stderr, "ksum-prof: wrote tree record to %s\n",
-                 path.c_str());
-  }
-  if (flags.get_bool("json")) {
-    std::printf("%s", record.dump().c_str());
-    return 0;
-  }
+  if (tools::emit_json(flags, record, "ksum-prof", "tree record")) return 0;
   std::printf("treecode plan %zux%zu K=%zu, eps=%g, %s profile\n", spec.m,
               spec.n, spec.k, eps, dev.name.c_str());
   std::printf("  %zu row cluster(s) x %zu box(es): %zu near, %zu far "
@@ -564,7 +450,7 @@ int run_tree_prof(const FlagParser& flags,
 
 int cmd_prof(int argc, const char* const* argv) {
   FlagParser flags;
-  flags.declare("layout", "shared-memory tile layout: fig5 (default), naive");
+  tools::declare_device_flags(flags);
   flags.declare("json", "print the ksum-prof-v1 record to stdout", false);
   flags.declare("json-out", "write the ksum-prof-v1 record to a file");
   flags.declare("trace", "write a Chrome trace_event file");
@@ -589,21 +475,12 @@ int cmd_prof(int argc, const char* const* argv) {
                 "source points per tree box for --tree-eps (default 64)");
   flags.declare("tree-row-leaf",
                 "rows per cluster for --tree-eps (default 64)");
-  flags.declare("profile",
-                "device profile: gtx970 | titanx-maxwell | modern, or a "
-                "ksum-device-profile-v1 JSON file");
-  flags.declare("help", "show this help", false);
-  flags.parse(argc, argv);
-
-  const std::string usage =
+  const std::string title =
       "usage: ksum-prof <program> [flags]\n"
       "       ksum-prof --batch=<p1,p2,...|all> [--threads=N]\n"
-      "       ksum-prof --list\n" +
-      flags.usage();
-  if (flags.get_bool("help")) {
-    std::printf("%s", usage.c_str());
-    return 0;
-  }
+      "       ksum-prof --list";
+  if (tools::parse_or_help(flags, argc, argv, 1, title)) return 0;
+  const std::string usage = title + "\n" + flags.usage();
   if (flags.get_bool("list")) {
     KSUM_REQUIRE(flags.positional().empty(),
                  "--list takes no program argument\n" + usage);
@@ -616,41 +493,41 @@ int cmd_prof(int argc, const char* const* argv) {
 
   // --threads is range-checked before any other validation so
   // `--threads=0` is always the usage error the contract promises.
-  const long long threads = flags.get_int("threads", 1);
-  KSUM_REQUIRE(threads >= 1 && threads <= exec::ThreadPool::kMaxThreads,
-               "--threads must be in [1, " +
-                   std::to_string(exec::ThreadPool::kMaxThreads) + "], got " +
-                   std::to_string(threads));
-  KSUM_REQUIRE(!flags.has("threads") || flags.has("batch"),
-               "conflicting flags: --threads drives --batch execution; give "
-               "--batch too");
-
+  const int threads = tools::threads_from_flags(flags);
+  const auto device = tools::device_from_flags(flags);
+  pipelines::RunOptions run = device.run_options();
+  tools::shards_from_flags(flags, pipelines::Backend::kSimFused, run,
+                           /*max_shards=*/64);
+  run.tree.box_leaf = 64;
+  run.tree.row_leaf = 64;
+  tools::tree_from_flags(flags, run);
+  tools::check_json_flags(flags, usage);
+  // --tree-eps, --shards and --batch are separate modes, and none of them
+  // profiles a single program.
+  const bool tree_mode = flags.has("tree-eps");
+  const bool shard_mode = flags.has("shards");
+  const bool batch_mode = flags.has("batch");
+  if (tree_mode || shard_mode || batch_mode) {
+    KSUM_REQUIRE(tree_mode + shard_mode + batch_mode == 1,
+                 "conflicting flags: --tree-eps, --shards and --batch are "
+                 "separate modes");
+    KSUM_REQUIRE(flags.positional().empty(),
+                 std::string(tree_mode    ? "--tree-eps"
+                             : shard_mode ? "--shards"
+                                          : "--batch") +
+                     " takes no positional program\n" + usage);
+    KSUM_REQUIRE(!flags.has("trace"),
+                 "conflicting flags: --trace profiles a single program");
+    KSUM_REQUIRE(batch_mode || !flags.has("top-sites"),
+                 "conflicting flags: --top-sites shapes the single-program "
+                 "human report");
+  }
+  if (tree_mode) return run_tree_prof(flags, run, device.profile);
+  if (shard_mode) return run_shard_prof(flags, run, device.profile);
   analysis::ProgramOptions options;
-  const std::string layout = flags.get_string("layout", "fig5");
-  if (layout == "naive") {
-    options.layout = gpukernels::TileLayout::kNaive;
-  } else if (layout != "fig5") {
-    throw Error("unknown --layout: " + layout);
-  }
-
-  const auto dev =
-      config::profiles::resolve(flags.get_string("profile", "gtx970"));
-
-  KSUM_REQUIRE(!flags.has("shard-axis") || flags.has("shards"),
-               "conflicting flags: --shard-axis qualifies --shards; give "
-               "--shards=N too");
-  KSUM_REQUIRE((!flags.has("tree-box-leaf") && !flags.has("tree-row-leaf")) ||
-                   flags.has("tree-eps"),
-               "conflicting flags: --tree-box-leaf/--tree-row-leaf qualify "
-               "--tree-eps; give --tree-eps=EPS too");
-  if (flags.has("tree-eps")) {
-    return run_tree_prof(flags, dev, usage);
-  }
-  if (flags.has("shards")) {
-    return run_shard_prof(flags, layout, options, dev, usage);
-  }
-  if (flags.has("batch")) {
-    return run_batch_prof(flags, options, dev, usage);
+  options.layout = device.layout;
+  if (batch_mode) {
+    return run_batch_prof(flags, threads, options, device.profile, usage);
   }
 
   KSUM_REQUIRE(flags.positional().size() == 1,
@@ -658,9 +535,6 @@ int cmd_prof(int argc, const char* const* argv) {
   KSUM_REQUIRE(!(flags.get_bool("json") && flags.has("top-sites")),
                "conflicting flags: --top-sites shapes the human report, "
                "which --json suppresses\n" + usage);
-  KSUM_REQUIRE(!(flags.get_bool("json") && flags.has("json-out")),
-               "conflicting flags: use --json (stdout) or --json-out=FILE, "
-               "not both\n" + usage);
   const long long top_sites_arg = flags.get_int("top-sites", 5);
   KSUM_REQUIRE(top_sites_arg >= 1 && top_sites_arg <= 1000,
                "--top-sites must be in [1, 1000]");
@@ -670,45 +544,19 @@ int cmd_prof(int argc, const char* const* argv) {
   if (program == nullptr) {
     throw Error("unknown program: " + name + " (try --list)");
   }
-
-  gpusim::Device device(dev.device, analysis::registry_device_bytes());
-  std::vector<profile::LaunchProfile> raw;
-  {
-    profile::LaunchProfiler profiler(device);
-    program->run(device, options);
-    raw = profiler.take_launches();
-  }
-  const auto shape = analysis::registry_shape();
-  const profile::ProgramProfile prof = profile::build_program_profile(
-      name, shape.m, shape.n, shape.k, dev.device, dev.timing, dev.energy,
-      std::move(raw), dev.name);
-
+  const profile::ProgramProfile prof =
+      profile_program(*program, options, device.profile);
   const profile::Json record =
-      profile::profile_to_json(prof, iso_timestamp());
-  // Self-check: never emit a record the schema validator would reject.
-  try {
-    profile::validate_profile_json(record);
-  } catch (const Error& e) {
-    throw InternalError(std::string("emitted record failed validation: ") +
-                        e.what());
-  }
+      self_checked(profile::profile_to_json(prof, iso_timestamp()),
+                   profile::validate_profile_json);
 
   if (flags.has("trace")) {
     const std::string path = flags.get_string("trace", "");
     KSUM_REQUIRE(!path.empty(), "--trace needs a file path");
-    write_file(path, profile::trace_events_json(prof).dump());
+    tools::write_file(path, profile::trace_events_json(prof).dump());
     std::fprintf(stderr, "ksum-prof: wrote trace to %s\n", path.c_str());
   }
-  if (flags.has("json-out")) {
-    const std::string path = flags.get_string("json-out", "");
-    KSUM_REQUIRE(!path.empty(), "--json-out needs a file path");
-    write_file(path, record.dump());
-    std::fprintf(stderr, "ksum-prof: wrote record to %s\n", path.c_str());
-  }
-
-  if (flags.get_bool("json")) {
-    std::printf("%s", record.dump().c_str());
-  } else {
+  if (!tools::emit_json(flags, record, "ksum-prof", "record")) {
     print_human_report(prof, static_cast<std::size_t>(top_sites_arg),
                        flags.get_bool("verbose"));
   }
@@ -718,16 +566,5 @@ int cmd_prof(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return cmd_prof(argc, argv);
-  } catch (const ksum::InternalError& e) {
-    std::fprintf(stderr, "ksum-prof: internal error: %s\n", e.what());
-    return 3;
-  } catch (const ksum::Error& e) {
-    std::fprintf(stderr, "ksum-prof: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ksum-prof: %s\n", e.what());
-    return 3;
-  }
+  return tools::run_main("ksum-prof", [&] { return cmd_prof(argc, argv); });
 }

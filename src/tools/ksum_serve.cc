@@ -42,10 +42,9 @@
 #include <iostream>
 
 #include "common/error.h"
-#include "common/flags.h"
-#include "config/profiles/device_profile.h"
 #include "serve/server.h"
 #include "serve/transport.h"
+#include "tools/tool_flags.h"
 
 namespace {
 
@@ -53,6 +52,7 @@ using namespace ksum;
 
 int cmd_serve(int argc, const char* const* argv) {
   FlagParser flags;
+  tools::declare_device_flags(flags, /*with_layout=*/false);
   flags.declare("stdio", "serve stdin→stdout until EOF", false)
       .declare("socket", "AF_UNIX socket path to listen on")
       .declare("workers", "worker loops / warm devices (default 2)")
@@ -79,20 +79,13 @@ int cmd_serve(int argc, const char* const* argv) {
       .declare("tree-eps",
                "daemon-wide treecode error budget for fused fault-free "
                "requests; other requests run dense (docs/TREECODE.md)")
-      .declare("profile",
-               "device profile: gtx970 | titanx-maxwell | modern, or a "
-               "ksum-device-profile-v1 JSON file")
       .declare("stats-json",
-               "write the final ksum-serve-v1 record to FILE on exit")
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-serve --stdio | --socket=PATH [options]\n%s",
-                flags.usage().c_str());
+               "write the final ksum-serve-v1 record to FILE on exit");
+  if (tools::parse_or_help(flags, argc, argv, 1,
+                           "ksum-serve --stdio | --socket=PATH [options]",
+                           "ksum-serve")) {
     return 0;
   }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "ksum-serve takes no positional arguments");
 
   const bool stdio = flags.get_bool("stdio");
   const std::string socket_path = flags.get_string("socket", "");
@@ -114,15 +107,10 @@ int cmd_serve(int argc, const char* const* argv) {
   options.max_k = flags.get_size("max-k", 256);
   options.max_shards = flags.get_size("max-shards", 1);
   KSUM_REQUIRE(options.max_shards >= 1, "--max-shards must be >= 1");
-  options.run.tree.eps = flags.get_double("tree-eps", 0.0);
-  KSUM_REQUIRE(options.run.tree.eps >= 0.0,
-               "--tree-eps must be non-negative");
-  const auto dev =
-      config::profiles::resolve(flags.get_string("profile", "gtx970"));
-  options.run.device = dev.device;
-  options.run.timing = dev.timing;
-  options.run.energy = dev.energy;
-  options.profile = dev.name;
+  const auto device = tools::device_from_flags(flags);
+  options.run = device.run_options();
+  tools::tree_from_flags(flags, options.run);
+  options.profile = device.profile.name;
 
   profile::Json final_stats;
   if (stdio) {
@@ -166,16 +154,5 @@ int cmd_serve(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return cmd_serve(argc, argv);
-  } catch (const ksum::InternalError& e) {
-    std::fprintf(stderr, "ksum-serve: internal error: %s\n", e.what());
-    return 3;
-  } catch (const ksum::Error& e) {
-    std::fprintf(stderr, "ksum-serve: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ksum-serve: %s\n", e.what());
-    return 3;
-  }
+  return tools::run_main("ksum-serve", [&] { return cmd_serve(argc, argv); });
 }

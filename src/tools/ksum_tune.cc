@@ -24,46 +24,13 @@
 #include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table.h"
-#include "config/profiles/device_profile.h"
-#include "exec/thread_pool.h"
+#include "tools/tool_flags.h"
 #include "tune/tune_json.h"
 #include "tune/tuning_cache.h"
 
 namespace {
 
 using namespace ksum;
-
-pipelines::Backend backend_from_flags(const FlagParser& flags) {
-  const std::string name = flags.get_string("solution", "fused");
-  if (name == "fused") return pipelines::Backend::kSimFused;
-  if (name == "cuda-unfused") return pipelines::Backend::kSimCudaUnfused;
-  if (name == "cublas-unfused") {
-    return pipelines::Backend::kSimCublasUnfused;
-  }
-  throw Error("unknown --solution: " + name +
-              " (tune needs a simulated pipeline: fused | cuda-unfused | "
-              "cublas-unfused)");
-}
-
-tune::TuneOptions tune_options_from_flags(const FlagParser& flags) {
-  tune::TuneOptions options;
-  options.threads = static_cast<int>(flags.get_int("threads", 1));
-  KSUM_REQUIRE(
-      options.threads >= 1 && options.threads <= exec::ThreadPool::kMaxThreads,
-      "--threads must be in [1, " +
-          std::to_string(exec::ThreadPool::kMaxThreads) + "], got " +
-          std::to_string(options.threads));
-  if (flags.get_string("layout", "fig5") == "naive") {
-    options.layout = gpukernels::TileLayout::kNaive;
-  }
-  const auto profile =
-      config::profiles::resolve(flags.get_string("profile", "gtx970"));
-  options.device = profile.device;
-  options.timing = profile.timing;
-  options.energy = profile.energy;
-  options.profile = profile.name;
-  return options;
-}
 
 std::string reasons_cell(const std::vector<std::string>& reasons) {
   if (reasons.empty()) return "";
@@ -98,26 +65,18 @@ Table grid_table(const std::vector<tune::CandidateVerdict>& grid,
 
 int cmd_grid(const std::string& command, int argc, const char* const* argv) {
   FlagParser flags;
-  flags.declare("json", "emit a ksum-tune-v1 record", false)
-      .declare("layout", "shared-memory layout: fig5 | naive")
-      .declare("profile", "device profile: built-in name or JSON file")
-      .declare("help", "show this help", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-tune %s — vet the tile-geometry candidate grid\n%s",
-                command.c_str(), flags.usage().c_str());
+  tools::declare_device_flags(flags);
+  flags.declare("json", "emit a ksum-tune-v1 record", false);
+  if (tools::parse_or_help(
+          flags, argc, argv, 2,
+          "ksum-tune " + command + " — vet the tile-geometry candidate grid",
+          command)) {
     return 0;
   }
-  KSUM_REQUIRE(flags.positional().empty(),
-               command + " takes no positional arguments\n" + flags.usage());
 
-  auto layout = gpukernels::TileLayout::kFig5;
-  if (flags.get_string("layout", "fig5") == "naive") {
-    layout = gpukernels::TileLayout::kNaive;
-  }
-  const auto profile =
-      config::profiles::resolve(flags.get_string("profile", "gtx970"));
-  const auto grid = tune::evaluate_candidates(profile.device, layout);
+  const auto device = tools::device_from_flags(flags);
+  const auto grid =
+      tune::evaluate_candidates(device.profile.device, device.layout);
   if (flags.get_bool("json")) {
     std::printf("%s\n", tune::tune_grid_record(command, grid).dump().c_str());
     return 0;
@@ -153,7 +112,10 @@ Table tune_table(const std::vector<tune::TuneReport>& tunes) {
 /// given, and prints the table or the validated JSON record.
 int run_tunes(const std::string& command, const FlagParser& flags,
               const std::vector<tune::TuneRequest>& requests) {
-  const auto options = tune_options_from_flags(flags);
+  const int threads = tools::threads_from_flags(flags);
+  const auto device = tools::device_from_flags(flags);
+  auto options = tune::options_for(device.run_options(), device.profile.name);
+  options.threads = threads;
   const std::string cache_path = flags.get_string("cache", "");
   tune::TuningCache cache;
   if (!cache_path.empty()) {
@@ -163,7 +125,7 @@ int run_tunes(const std::string& command, const FlagParser& flags,
 
   std::vector<tune::TuneReport> tunes;
   for (const auto& request : requests) {
-    const auto solution = tune::solution_of(request.backend);
+    const auto solution = pipelines::solution_of(request.backend);
     const auto hit = cache.find(request.m, request.n, request.k, solution,
                                 options.profile);
     const auto report = tune::tune(request, options);
@@ -191,13 +153,11 @@ int run_tunes(const std::string& command, const FlagParser& flags,
 }
 
 void declare_tune_flags(FlagParser& flags) {
+  tools::declare_device_flags(flags);
   flags.declare("solution", "fused | cuda-unfused | cublas-unfused")
       .declare("threads", "worker threads for the candidate fan-out")
-      .declare("layout", "shared-memory layout: fig5 | naive")
-      .declare("profile", "device profile: built-in name or JSON file")
       .declare("cache", "tuning-cache file to read/update (ksum-tune-cache-v1)")
-      .declare("json", "emit a ksum-tune-v1 record", false)
-      .declare("help", "show this help", false);
+      .declare("json", "emit a ksum-tune-v1 record", false);
 }
 
 int cmd_best(int argc, const char* const* argv) {
@@ -206,20 +166,17 @@ int cmd_best(int argc, const char* const* argv) {
   flags.declare("m", "source point count")
       .declare("n", "target point count")
       .declare("k", "geometric dimension");
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-tune best — tune one problem shape\n%s",
-                flags.usage().c_str());
+  if (tools::parse_or_help(flags, argc, argv, 2,
+                           "ksum-tune best — tune one problem shape", "best")) {
     return 0;
   }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "best takes no positional arguments\n" + flags.usage());
 
   tune::TuneRequest request;
   request.m = flags.get_size("m", 8192);
   request.n = flags.get_size("n", 8192);
   request.k = flags.get_size("k", 8);
-  request.backend = backend_from_flags(flags);
+  request.backend =
+      tools::solution_from_flags(flags, /*simulated_only=*/true);
   return run_tunes("best", flags, {request});
 }
 
@@ -227,16 +184,14 @@ int cmd_sweep(int argc, const char* const* argv) {
   FlagParser flags;
   declare_tune_flags(flags);
   flags.declare("fast", "tune only the smallest paper shape", false);
-  flags.parse(argc, argv, 2);
-  if (flags.get_bool("help")) {
-    std::printf("ksum-tune sweep — tune the paper's operating shapes\n%s",
-                flags.usage().c_str());
+  if (tools::parse_or_help(
+          flags, argc, argv, 2,
+          "ksum-tune sweep — tune the paper's operating shapes", "sweep")) {
     return 0;
   }
-  KSUM_REQUIRE(flags.positional().empty(),
-               "sweep takes no positional arguments\n" + flags.usage());
 
-  const auto backend = backend_from_flags(flags);
+  const auto backend =
+      tools::solution_from_flags(flags, /*simulated_only=*/true);
   std::vector<tune::TuneRequest> requests;
   const std::size_t ms_full[] = {4096, 8192, 16384};
   const std::size_t ms_fast[] = {4096};
@@ -261,29 +216,15 @@ int cmd_sweep(int argc, const char* const* argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string usage =
-      "usage: ksum-tune <list|prune|best|sweep> [flags]\n"
-      "       ksum-tune <subcommand> --help\n"
-      "exit codes: 0 ok, 2 invalid input, 3 internal error\n";
-  if (argc < 2) {
-    std::fputs(usage.c_str(), stderr);
-    return 2;
-  }
-  const std::string cmd = argv[1];
-  try {
+  return tools::run_main("ksum-tune", [&] {
+    const std::string cmd = argc < 2 ? "" : argv[1];
     if (cmd == "list" || cmd == "prune") return cmd_grid(cmd, argc, argv);
     if (cmd == "best") return cmd_best(argc, argv);
     if (cmd == "sweep") return cmd_sweep(argc, argv);
-    std::fputs(usage.c_str(), stderr);
+    std::fputs("usage: ksum-tune <list|prune|best|sweep> [flags]\n"
+               "       ksum-tune <subcommand> --help\n"
+               "exit codes: 0 ok, 2 invalid input, 3 internal error\n",
+               stderr);
     return 2;
-  } catch (const ksum::InternalError& e) {
-    std::fprintf(stderr, "ksum-tune: internal error: %s\n", e.what());
-    return 3;
-  } catch (const ksum::Error& e) {
-    std::fprintf(stderr, "ksum-tune: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ksum-tune: %s\n", e.what());
-    return 3;
-  }
+  });
 }

@@ -11,10 +11,15 @@ namespace ksum::tune {
 
 using gpukernels::TileGeometry;
 
-bool is_simulated(pipelines::Backend backend) {
-  return backend == pipelines::Backend::kSimFused ||
-         backend == pipelines::Backend::kSimCudaUnfused ||
-         backend == pipelines::Backend::kSimCublasUnfused;
+TuneOptions options_for(const pipelines::RunOptions& options,
+                        const std::string& profile) {
+  TuneOptions tune_options;
+  tune_options.device = options.device;
+  tune_options.timing = options.timing;
+  tune_options.energy = options.energy;
+  tune_options.layout = options.mainloop.layout;
+  tune_options.profile = profile;
+  return tune_options;
 }
 
 namespace {
@@ -105,7 +110,7 @@ double remodel_seconds(const TuneRequest& request, const TuneOptions& options,
 TuneReport tune(const TuneRequest& request, const TuneOptions& options) {
   KSUM_REQUIRE(request.m > 0 && request.n > 0 && request.k > 0,
                "tune needs nonzero problem dimensions");
-  KSUM_REQUIRE(is_simulated(request.backend),
+  KSUM_REQUIRE(pipelines::is_simulated(request.backend),
                "tune needs a simulated backend; " +
                    pipelines::to_string(request.backend) +
                    " runs on the host and has no tile geometry");

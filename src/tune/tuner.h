@@ -79,8 +79,11 @@ struct TuneReport {
   double best_proxy_seconds = 0;
 };
 
-/// True for the backends the tuner can execute (the simulated ones).
-bool is_simulated(pipelines::Backend backend);
+/// Tuner options matching a solve's RunOptions (same device, timing,
+/// energy and layout), keyed under `profile` so cached winners never leak
+/// across architectures.
+TuneOptions options_for(const pipelines::RunOptions& options,
+                        const std::string& profile);
 
 /// Runs the full enumerate → prune → execute → score pass. Throws
 /// ksum::Error for a host backend, a zero dimension, or when no candidate

@@ -10,22 +10,6 @@ namespace ksum::tune {
 
 using profile::Json;
 
-pipelines::Solution solution_of(pipelines::Backend backend) {
-  switch (backend) {
-    case pipelines::Backend::kSimFused:
-      return pipelines::Solution::kFused;
-    case pipelines::Backend::kSimCudaUnfused:
-      return pipelines::Solution::kCudaUnfused;
-    case pipelines::Backend::kSimCublasUnfused:
-      return pipelines::Solution::kCublasUnfused;
-    case pipelines::Backend::kCpuDirect:
-    case pipelines::Backend::kCpuExpansion:
-      break;
-  }
-  throw Error("ksum: " + pipelines::to_string(backend) +
-              " runs on the host and has no tile geometry");
-}
-
 namespace {
 
 pipelines::Solution solution_from_string(const std::string& name) {
@@ -97,7 +81,7 @@ TuningCache::Entry TuningCache::get_or_tune(std::size_t m, std::size_t n,
                                             std::size_t k,
                                             pipelines::Backend backend,
                                             const TuneOptions& options) {
-  const auto solution = solution_of(backend);
+  const auto solution = pipelines::solution_of(backend);
   if (const auto hit = find(m, n, k, solution, options.profile);
       hit.has_value()) {
     return *hit;

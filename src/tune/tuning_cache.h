@@ -37,10 +37,6 @@
 
 namespace ksum::tune {
 
-/// The pipeline a backend runs (host backends are rejected — they have no
-/// tile geometry to tune).
-pipelines::Solution solution_of(pipelines::Backend backend);
-
 class TuningCache : public pipelines::TileGeometryResolver {
  public:
   struct Entry {

@@ -108,6 +108,8 @@ TEST(FlagsTest, QueryingUndeclaredFlagThrows) {
   flags.parse(1, argv);
   EXPECT_THROW(flags.get_bool("nope"), Error);
   EXPECT_THROW((void)flags.has("nope"), Error);
+  EXPECT_FALSE(flags.declared("nope"));
+  EXPECT_TRUE(flags.declared("m"));
 }
 
 }  // namespace

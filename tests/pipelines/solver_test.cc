@@ -54,5 +54,32 @@ TEST(SolverTest, BackendNames) {
   EXPECT_EQ(to_string(Backend::kSimCublasUnfused), "sim-cublas-unfused");
 }
 
+TEST(SolverTest, AttachFaultPlanOwnsOnePlanOrInstallsAShardFactory) {
+  RunOptions plain;
+  EXPECT_EQ(attach_fault_plan(plain, 7, 0.0), nullptr);  // rate 0: no-op
+  EXPECT_EQ(plain.fault_injector, nullptr);
+
+  const auto plan = attach_fault_plan(plain, 7, 1e-3);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plain.fault_injector, plan.get());
+  EXPECT_EQ(plan->config().seed, 7u);
+
+  // Sharded runs reject a plain injector: the seed feeds a per-(shard,
+  // dispatch) factory instead, one independent stream per shard.
+  RunOptions sharded;
+  sharded.shards.count = 2;
+  EXPECT_EQ(attach_fault_plan(sharded, 7, 1e-3), nullptr);
+  EXPECT_EQ(sharded.fault_injector, nullptr);
+  ASSERT_TRUE(sharded.shards.injector_factory);
+  const auto first = std::dynamic_pointer_cast<robust::FaultPlan>(
+      sharded.shards.injector_factory(0, 0));
+  const auto second = std::dynamic_pointer_cast<robust::FaultPlan>(
+      sharded.shards.injector_factory(1, 0));
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->config().seed, shard::shard_fault_seed(7, 0, 0));
+  EXPECT_EQ(second->config().seed, shard::shard_fault_seed(7, 1, 0));
+}
+
 }  // namespace
 }  // namespace ksum::pipelines

@@ -34,11 +34,11 @@ const tune::TuneReport& paper_shape_report() {
 }
 
 TEST(TunerTest, SimulatedBackendsOnly) {
-  EXPECT_TRUE(tune::is_simulated(Backend::kSimFused));
-  EXPECT_TRUE(tune::is_simulated(Backend::kSimCudaUnfused));
-  EXPECT_TRUE(tune::is_simulated(Backend::kSimCublasUnfused));
-  EXPECT_FALSE(tune::is_simulated(Backend::kCpuDirect));
-  EXPECT_FALSE(tune::is_simulated(Backend::kCpuExpansion));
+  EXPECT_TRUE(pipelines::is_simulated(Backend::kSimFused));
+  EXPECT_TRUE(pipelines::is_simulated(Backend::kSimCudaUnfused));
+  EXPECT_TRUE(pipelines::is_simulated(Backend::kSimCublasUnfused));
+  EXPECT_FALSE(pipelines::is_simulated(Backend::kCpuDirect));
+  EXPECT_FALSE(pipelines::is_simulated(Backend::kCpuExpansion));
 }
 
 TEST(TunerTest, RejectsHostBackendsAndEmptyShapes) {

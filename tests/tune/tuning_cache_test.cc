@@ -40,13 +40,13 @@ tune::TuningCache::Entry entry_of(const TileGeometry& g, double scaled,
 }
 
 TEST(TuningCacheTest, SolutionOfMapsTheSimulatedBackends) {
-  EXPECT_EQ(tune::solution_of(Backend::kSimFused), Solution::kFused);
-  EXPECT_EQ(tune::solution_of(Backend::kSimCudaUnfused),
+  EXPECT_EQ(pipelines::solution_of(Backend::kSimFused), Solution::kFused);
+  EXPECT_EQ(pipelines::solution_of(Backend::kSimCudaUnfused),
             Solution::kCudaUnfused);
-  EXPECT_EQ(tune::solution_of(Backend::kSimCublasUnfused),
+  EXPECT_EQ(pipelines::solution_of(Backend::kSimCublasUnfused),
             Solution::kCublasUnfused);
-  EXPECT_THROW(tune::solution_of(Backend::kCpuDirect), Error);
-  EXPECT_THROW(tune::solution_of(Backend::kCpuExpansion), Error);
+  EXPECT_THROW(pipelines::solution_of(Backend::kCpuDirect), Error);
+  EXPECT_THROW(pipelines::solution_of(Backend::kCpuExpansion), Error);
 }
 
 TEST(TuningCacheTest, InsertFindResolve) {
