@@ -1,7 +1,7 @@
 // Autotuner record for the paper's operating shapes: for each
 // (M=N, K) point the tuner enumerates the tile-geometry grid, prunes it
-// against the GTX 970's resource budgets, executes the survivors on the
-// simulated device, and re-models the winner at the real shape. The table
+// against the GTX 970's resource budgets, and prices every survivor at the
+// real shape from one calibrated CTA on the simulated device. The table
 // compares the winner's modelled time against the paper's fixed
 // 128×128/8×8 geometry — at K=8 the tuner reproduces the paper's choice;
 // at K=250 it finds the deeper 16-element k-tiles that amortise the loop

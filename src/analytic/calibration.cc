@@ -9,6 +9,7 @@
 #include "gpukernels/kernel_eval.h"
 #include "gpukernels/norms.h"
 #include "gpusim/device.h"
+#include "pipelines/pipeline.h"
 
 namespace ksum::analytic {
 namespace {
@@ -53,77 +54,91 @@ CalibrationResult from_launch(const gpusim::LaunchResult& launch) {
   return out;
 }
 
-CalibrationResult calibrate(const CalibrationKey& key) {
-  gpusim::Device device(config::DeviceSpec::gtx970(), std::size_t{64} << 20);
-  core::KernelParams params;  // Gaussian defaults; counts are data-blind
+// The workspace of one kernel's unit launch: rows × cols points over K,
+// with the M×N intermediate for the kernels that read or write it.
+struct UnitShape {
+  std::size_t rows = 0, cols = 0, k = 0;
+  bool intermediate = false;
+};
 
+UnitShape unit_shape(const CalibrationKey& key) {
+  // One CTA of the tile kernels: a single tile_m×tile_n submatrixC.
+  const auto tile_m = static_cast<std::size_t>(key.geometry.tile_m);
+  const auto tile_n = static_cast<std::size_t>(key.geometry.tile_n);
   switch (key.kind) {
-    case KernelKind::kNorms: {
-      Workspace ws = gpukernels::allocate_workspace(device, 128, 128, key.k,
-                                                    /*with_intermediate=*/false);
-      return from_launch(gpukernels::run_norms_a(device, ws));
-    }
-    case KernelKind::kGemmCudaC: {
-      Workspace ws = gpukernels::allocate_workspace(device, 128, 128, key.k,
-                                                    /*with_intermediate=*/true);
-      gpukernels::GemmOptions opts;
-      opts.mainloop.layout = key.layout;
-      opts.mainloop.double_buffer = key.double_buffer;
-      return from_launch(gpukernels::run_gemm_cudac(device, ws.a, ws.b, ws.c,
-                                                    128, 128, key.k, opts));
-    }
-    case KernelKind::kGemmCublas: {
-      Workspace ws = gpukernels::allocate_workspace(device, 128, 128, key.k,
-                                                    /*with_intermediate=*/true);
-      return from_launch(gpukernels::run_gemm_cublas_model(
-          device, ws.a, ws.b, ws.c, 128, 128, key.k));
-    }
-    case KernelKind::kFused: {
-      Workspace ws = gpukernels::allocate_workspace(device, 128, 128, key.k,
-                                                    /*with_intermediate=*/false);
-      gpukernels::FusedOptions opts;
-      opts.mainloop.layout = key.layout;
-      opts.mainloop.double_buffer = key.double_buffer;
-      opts.fuse_norms = key.fuse_norms;
-      return from_launch(
-          gpukernels::run_fused_ksum(device, ws, params, opts).main);
-    }
-    case KernelKind::kFusedStaged: {
+    case KernelKind::kNorms:
+      return {128, 128, key.k, false};
+    case KernelKind::kGemmCudaC:
+      return {tile_m, tile_n, key.k, true};
+    case KernelKind::kGemmCublas:
+      return {128, 128, key.k, true};
+    case KernelKind::kFused:
+      return {tile_m, tile_n, key.k, false};
+    case KernelKind::kFusedStaged:
       // The staged variant's partial-vector stores stride by grid.x, so the
       // calibration must use the real column-grid width (key.n = N).
-      Workspace ws = gpukernels::allocate_workspace(device, 128, key.n,
-                                                    key.k,
-                                                    /*with_intermediate=*/false);
-      gpukernels::FusedOptions opts;
-      opts.mainloop.layout = key.layout;
-      opts.mainloop.double_buffer = key.double_buffer;
-      opts.atomic_reduction = false;
-      opts.fuse_norms = key.fuse_norms;
-      return from_launch(
-          gpukernels::run_fused_ksum(device, ws, params, opts).main);
+      return {tile_m, key.n, key.k, false};
+    case KernelKind::kPartialReduce:
+      // A one-CTA-row staged fused run with the real column-grid width
+      // (key.n = N); its second pass is what gets calibrated.
+      return {tile_m, key.n,
+              static_cast<std::size_t>(key.geometry.tile_k), false};
+    case KernelKind::kKernelEval:
+      return {8, key.n, 8, true};
+    case KernelKind::kGemv:
+      return {128, key.n, 8, true};
+  }
+  KSUM_CHECK_MSG(false, "unhandled kernel kind");
+  return {};
+}
+
+CalibrationResult calibrate(const config::DeviceSpec& spec,
+                            const CalibrationKey& key) {
+  const UnitShape unit = unit_shape(key);
+  gpusim::Device device(
+      spec, pipelines::required_device_bytes(
+                unit.rows, unit.cols, unit.k, unit.intermediate,
+                static_cast<std::size_t>(key.geometry.tile_n)));
+  Workspace ws = gpukernels::allocate_workspace(device, unit.rows, unit.cols,
+                                                unit.k, unit.intermediate);
+  core::KernelParams params;  // Gaussian defaults; counts are data-blind
+  gpukernels::MainloopConfig mainloop;
+  mainloop.layout = key.layout;
+  mainloop.double_buffer = key.double_buffer;
+  mainloop.geometry = key.geometry;
+  gpukernels::FusedOptions fused;
+  fused.mainloop = mainloop;
+  fused.fuse_norms = key.fuse_norms;
+
+  switch (key.kind) {
+    case KernelKind::kNorms:
+      return from_launch(gpukernels::run_norms_a(device, ws));
+    case KernelKind::kGemmCudaC: {
+      gpukernels::GemmOptions opts;
+      opts.mainloop = mainloop;
+      return from_launch(gpukernels::run_gemm_cudac(
+          device, ws.a, ws.b, ws.c, unit.rows, unit.cols, unit.k, opts));
     }
+    case KernelKind::kGemmCublas:
+      return from_launch(gpukernels::run_gemm_cublas_model(
+          device, ws.a, ws.b, ws.c, unit.rows, unit.cols, unit.k));
+    case KernelKind::kFused:
+      return from_launch(
+          gpukernels::run_fused_ksum(device, ws, params, fused).main);
+    case KernelKind::kFusedStaged:
+      fused.atomic_reduction = false;
+      return from_launch(
+          gpukernels::run_fused_ksum(device, ws, params, fused).main);
     case KernelKind::kPartialReduce: {
-      // Run the staged fused pipeline on a one-CTA-row problem with the
-      // real column-grid width (key.n = N), then calibrate its second pass.
-      Workspace ws = gpukernels::allocate_workspace(device, 128, key.n, 8,
-                                                    /*with_intermediate=*/false);
-      gpukernels::FusedOptions opts;
-      opts.atomic_reduction = false;
-      const auto result =
-          gpukernels::run_fused_ksum(device, ws, params, opts);
+      fused.atomic_reduction = false;
+      const auto result = gpukernels::run_fused_ksum(device, ws, params, fused);
       KSUM_CHECK(result.extra.size() == 1);
       return from_launch(result.extra.front());
     }
-    case KernelKind::kKernelEval: {
-      Workspace ws = gpukernels::allocate_workspace(device, 8, key.n, 8,
-                                                    /*with_intermediate=*/true);
+    case KernelKind::kKernelEval:
       return from_launch(gpukernels::run_kernel_eval(device, ws, params));
-    }
-    case KernelKind::kGemv: {
-      Workspace ws = gpukernels::allocate_workspace(device, 128, key.n, 8,
-                                                    /*with_intermediate=*/true);
+    case KernelKind::kGemv:
       return from_launch(gpukernels::run_gemv_summation(device, ws));
-    }
   }
   KSUM_CHECK_MSG(false, "unhandled kernel kind");
   return {};
@@ -158,7 +173,7 @@ gpusim::Counters scale_counters(const gpusim::Counters& per_cta,
 const CalibrationResult& Calibrator::get(const CalibrationKey& key) {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
-    it = cache_.emplace(key, calibrate(key)).first;
+    it = cache_.emplace(key, calibrate(device_, key)).first;
   }
   return it->second;
 }

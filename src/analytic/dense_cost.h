@@ -6,9 +6,9 @@
 // interface because src/analytic links the pipelines (the dependency cannot
 // point the other way).
 //
-// dense_seconds prices the shape pipelines::solve runs: M and N rounded up
-// to 128, K to 8 (workload/padding.h). A non-paper tile geometry is priced
-// at the paper tiling.
+// dense_seconds prices the shape pipelines::solve runs, in the tile
+// geometry of the options it was built with: M and N rounded up to
+// lcm(tile edge, 128), K to lcm(tileK, 8) (gpukernels::solve_alignment).
 #pragma once
 
 #include <mutex>

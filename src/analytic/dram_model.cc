@@ -21,9 +21,9 @@ Sizes sizes_of(const DramModelInputs& in) {
   s.nb = 4.0 * double(in.n);
   s.w = 4.0 * double(in.n);
   s.v = 4.0 * double(in.m);
-  s.panel_a = 4.0 * 128.0 * double(in.k);
+  s.panel_a = 4.0 * double(in.tile_m) * double(in.k);
   s.eff_l2 = in.l2_effective_fraction * double(in.device.l2_bytes);
-  s.grid_rows = in.m / 128;
+  s.grid_rows = in.m / in.tile_m;
   return s;
 }
 
@@ -43,16 +43,16 @@ DramTraffic dram_norms_b(const DramModelInputs& in) {
 DramTraffic dram_gemm(const DramModelInputs& in) {
   const Sizes s = sizes_of(in);
   DramTraffic t;
-  // A: each 128-row panel missed once, reused across its grid row. When the
-  // whole input set fits (tiny problems) even that miss is absorbed by the
-  // norms kernels' residual.
+  // A: each tile_m-row panel missed once, reused across its grid row. When
+  // the whole input set fits (tiny problems) even that miss is absorbed by
+  // the norms kernels' residual.
   const bool all_inputs_fit = s.a + s.b + s.c <= s.eff_l2;
   if (!all_inputs_fit) {
     t.reads += sectors(s.a);
   }
   // B: resident across grid rows iff it fits next to the hot panel and the
-  // C write stream of one row (128 rows × N × 4).
-  const double c_row = 4.0 * 128.0 * double(in.n);
+  // C write stream of one row (tile_m rows × N × 4).
+  const double c_row = 4.0 * double(in.tile_m) * double(in.n);
   const bool b_resident = s.b + s.panel_a + c_row <= s.eff_l2;
   if (!all_inputs_fit) {
     t.reads += sectors(s.b) * (b_resident ? 1.0 : double(s.grid_rows));
@@ -116,7 +116,7 @@ DramTraffic dram_fused(const DramModelInputs& in, bool fuse_norms) {
 
 DramTraffic dram_fused_staged_extra(const DramModelInputs& in) {
   const Sizes s = sizes_of(in);
-  const double staging = 4.0 * double(in.m) * double(in.n / 128);
+  const double staging = 4.0 * double(in.m) * double(in.n / in.tile_n);
   DramTraffic t;
   // The staging matrix always drains once; if it outgrows L2 the second
   // pass also re-reads it from DRAM.

@@ -4,8 +4,8 @@
 // order; this model predicts the DRAM reads/writes that scheduling policy
 // produces from working-set reasoning:
 //
-//  * an A panel (128×K) is fetched once per grid row and survives the whole
-//    bx sweep (it is small and hot);
+//  * an A panel (tile_m×K) is fetched once per grid row and survives the
+//    whole bx sweep (it is small and hot);
 //  * whole-B residency decides whether B streams from DRAM once or once per
 //    grid row: B stays cached iff B + one A panel + the row's write traffic
 //    fit in the effective L2 capacity;
@@ -40,6 +40,9 @@ struct DramTraffic {
 
 struct DramModelInputs {
   std::size_t m = 0, n = 0, k = 0;
+  /// Submatrix edges of the tile kernel's CTAs: tile_m sets the A panel and
+  /// the grid rows, tile_n the staged reduction's partial columns.
+  std::size_t tile_m = 128, tile_n = 128;
   config::DeviceSpec device = config::DeviceSpec::gtx970();
   /// Fraction of L2 usable before conflict/pollution evictions bite.
   double l2_effective_fraction = 0.8;

@@ -1,11 +1,22 @@
 #include "analytic/pipeline_model.h"
 
 #include "common/error.h"
-#include "gpukernels/tile_geometry.h"
+#include "common/string_util.h"
+#include "workload/padding.h"
 
 namespace ksum::analytic {
 
 using pipelines::Solution;
+
+namespace {
+
+std::size_t tile_ctas(const gpukernels::TileGeometry& tile, std::size_t m,
+                      std::size_t n) {
+  return (m / static_cast<std::size_t>(tile.tile_m)) *
+         (n / static_cast<std::size_t>(tile.tile_n));
+}
+
+}  // namespace
 
 KernelEstimate PipelineModel::finish(const std::string& name,
                                      const gpusim::Counters& scaled,
@@ -35,10 +46,46 @@ KernelEstimate PipelineModel::finish(const std::string& name,
   return est;
 }
 
+void PipelineModel::require_aligned(std::size_t m, std::size_t n,
+                                    std::size_t k) const {
+  const auto align = gpukernels::solve_alignment(options_.mainloop.geometry);
+  KSUM_REQUIRE(m % align.m == 0 && n % align.n == 0 && k % align.k == 0,
+               str_format("analytic model needs the shape pipelines::solve "
+                          "pads to: M a multiple of %zu, N of %zu, K of %zu",
+                          align.m, align.n, align.k));
+}
+
+gpukernels::TileGeometry PipelineModel::tile_of(Solution solution) const {
+  return solution == Solution::kCublasUnfused ? gpukernels::TileGeometry{}
+                                              : options_.mainloop.geometry;
+}
+
+DramModelInputs PipelineModel::dram_inputs(Solution solution, std::size_t m,
+                                           std::size_t n,
+                                           std::size_t k) const {
+  const auto tile = tile_of(solution);
+  DramModelInputs dmi;
+  dmi.m = m;
+  dmi.n = n;
+  dmi.k = k;
+  dmi.tile_m = static_cast<std::size_t>(tile.tile_m);
+  dmi.tile_n = static_cast<std::size_t>(tile.tile_n);
+  dmi.device = options_.device;
+  return dmi;
+}
+
+PipelineEstimate PipelineModel::estimate_solve(Solution solution,
+                                               std::size_t m, std::size_t n,
+                                               std::size_t k) {
+  const auto align = gpukernels::solve_alignment(options_.mainloop.geometry);
+  return estimate(solution, workload::round_up(m, align.m),
+                  workload::round_up(n, align.n),
+                  workload::round_up(k, align.k));
+}
+
 PipelineEstimate PipelineModel::estimate(Solution solution, std::size_t m,
                                          std::size_t n, std::size_t k) {
-  KSUM_REQUIRE(m % 128 == 0 && n % 128 == 0 && k % 8 == 0,
-               "analytic model needs M, N multiples of 128 and K of 8");
+  require_aligned(m, n, k);
   PipelineEstimate out;
   out.solution = solution;
   out.m = m;
@@ -46,15 +93,8 @@ PipelineEstimate PipelineModel::estimate(Solution solution, std::size_t m,
   out.k = k;
 
   const auto cuda_grade = options_.cuda_kernel_grade;
-  const auto asm_grade = config::KernelGrade::assembly();
   const double mn = double(m) * double(n);
-  const std::size_t tile_ctas = (m / 128) * (n / 128);
-  const double iters = double(k) / gpukernels::kTileK;
-  DramModelInputs dmi;
-  dmi.m = m;
-  dmi.n = n;
-  dmi.k = k;
-  dmi.device = options_.device;
+  const DramModelInputs dmi = dram_inputs(solution, m, n, k);
 
   // Norms — absent when the fused kernel computes them on the fly.
   const bool fused_norms =
@@ -70,6 +110,8 @@ PipelineEstimate PipelineModel::estimate(Solution solution, std::size_t m,
   }
 
   if (solution == Solution::kFused) {
+    const auto tile = tile_of(solution);
+    const std::size_t ctas = tile_ctas(tile, m, n);
     const KernelKind kind = options_.atomic_reduction
                                 ? KernelKind::kFused
                                 : KernelKind::kFusedStaged;
@@ -77,35 +119,28 @@ PipelineEstimate PipelineModel::estimate(Solution solution, std::size_t m,
     // carries none; the staged variant strides its partials by grid.x.
     CalibrationKey key{kind, k, kind == KernelKind::kFused ? 0 : n,
                        options_.mainloop.layout,
-                       options_.mainloop.double_buffer, options_.fuse_norms};
+                       options_.mainloop.double_buffer, options_.fuse_norms,
+                       tile};
     const auto& cal = calibrator_.get(key);
     DramTraffic dram = dram_fused(dmi, options_.fuse_norms);
     if (!options_.atomic_reduction) {
       dram += dram_fused_staged_extra(dmi);
     }
     out.kernels.push_back(finish(
-        "fused_ksum", scale_counters(cal.per_cta, tile_ctas), dram,
-        cal.config, tile_ctas, iters, cuda_grade,
+        "fused_ksum", scale_counters(cal.per_cta, ctas), dram, cal.config,
+        ctas, gpusim::mainloop_iters_for_k(k), cuda_grade,
         2.0 * mn * double(k) + 8.0 * mn));
     if (!options_.atomic_reduction) {
-      const auto& rcal =
-          calibrator_.get({KernelKind::kPartialReduce, 8, n});
+      const auto& rcal = calibrator_.get(
+          {.kind = KernelKind::kPartialReduce, .n = n, .geometry = tile});
+      const std::size_t row_ctas = m / static_cast<std::size_t>(tile.tile_m);
       out.kernels.push_back(finish(
-          "fused_partial_reduce", scale_counters(rcal.per_cta, m / 128),
-          DramTraffic{}, rcal.config, m / 128, 0, cuda_grade, 0.0));
+          "fused_partial_reduce", scale_counters(rcal.per_cta, row_ctas),
+          DramTraffic{}, rcal.config, row_ctas, 0, cuda_grade, 0.0));
     }
   } else {
-    const bool cublas = solution == Solution::kCublasUnfused;
-    const KernelKind kind =
-        cublas ? KernelKind::kGemmCublas : KernelKind::kGemmCudaC;
-    CalibrationKey key{kind, k, 0, options_.mainloop.layout,
-                       options_.mainloop.double_buffer};
-    const auto& cal = calibrator_.get(key);
-    out.kernels.push_back(finish(
-        cublas ? "gemm_cublas" : "gemm_cudac",
-        scale_counters(cal.per_cta, tile_ctas), dram_gemm(dmi), cal.config,
-        tile_ctas, iters, cublas ? asm_grade : cuda_grade,
-        2.0 * mn * double(k)));
+    out.kernels.push_back(estimate_gemm_only(
+        solution == Solution::kCublasUnfused, m, n, k));
 
     const auto& ecal = calibrator_.get({KernelKind::kKernelEval, 8, n});
     out.kernels.push_back(finish(
@@ -139,23 +174,20 @@ PipelineEstimate PipelineModel::estimate(Solution solution, std::size_t m,
 KernelEstimate PipelineModel::estimate_gemm_only(bool cublas, std::size_t m,
                                                  std::size_t n,
                                                  std::size_t k) {
-  KSUM_REQUIRE(m % 128 == 0 && n % 128 == 0 && k % 8 == 0,
-               "analytic model needs M, N multiples of 128 and K of 8");
-  const std::size_t tile_ctas = (m / 128) * (n / 128);
-  const double iters = double(k) / gpukernels::kTileK;
-  DramModelInputs dmi;
-  dmi.m = m;
-  dmi.n = n;
-  dmi.k = k;
-  dmi.device = options_.device;
+  require_aligned(m, n, k);
+  const Solution solution =
+      cublas ? Solution::kCublasUnfused : Solution::kCudaUnfused;
+  const auto tile = tile_of(solution);
+  const std::size_t ctas = tile_ctas(tile, m, n);
   const KernelKind kind =
       cublas ? KernelKind::kGemmCublas : KernelKind::kGemmCudaC;
   CalibrationKey key{kind, k, 0, options_.mainloop.layout,
-                     options_.mainloop.double_buffer};
+                     options_.mainloop.double_buffer, false, tile};
   const auto& cal = calibrator_.get(key);
   return finish(cublas ? "gemm_cublas" : "gemm_cudac",
-                scale_counters(cal.per_cta, tile_ctas), dram_gemm(dmi),
-                cal.config, tile_ctas, iters,
+                scale_counters(cal.per_cta, ctas),
+                dram_gemm(dram_inputs(solution, m, n, k)), cal.config, ctas,
+                gpusim::mainloop_iters_for_k(k),
                 cublas ? config::KernelGrade::assembly()
                        : options_.cuda_kernel_grade,
                 2.0 * double(m) * double(n) * double(k));

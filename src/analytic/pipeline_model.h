@@ -1,8 +1,10 @@
 // Full-pipeline analytic estimates: the counts → timing → energy chain of
 // pipelines::run_pipeline without functional execution, valid up to the
 // paper's largest sweeps (M = 524288) in microseconds instead of hours.
-// Every bench binary drives this; tests pin it against the functional
-// simulator at small sizes.
+// The tile kernels are priced in the options' tile geometry on the options'
+// device, so the same model ranks the autotuner's candidates. Every bench
+// binary drives this; tests pin it against the functional simulator at
+// small sizes, for every viable geometry on every built-in profile.
 #pragma once
 
 #include <vector>
@@ -39,10 +41,17 @@ struct PipelineEstimate {
 class PipelineModel {
  public:
   explicit PipelineModel(pipelines::RunOptions options = {})
-      : options_(std::move(options)) {}
+      : options_(std::move(options)), calibrator_(options_.device) {}
 
+  /// Estimate on a shape already aligned to the options' geometry
+  /// (gpukernels::solve_alignment); throws ksum::Error otherwise.
   PipelineEstimate estimate(pipelines::Solution solution, std::size_t m,
                             std::size_t n, std::size_t k);
+
+  /// Estimate of pipelines::solve on any shape: zero-padded first, exactly
+  /// as solve pads it for the options' geometry.
+  PipelineEstimate estimate_solve(pipelines::Solution solution, std::size_t m,
+                                  std::size_t n, std::size_t k);
 
   /// Estimate for the GEMM kernel alone (Fig. 7).
   KernelEstimate estimate_gemm_only(bool cublas, std::size_t m, std::size_t n,
@@ -51,6 +60,13 @@ class PipelineModel {
   const pipelines::RunOptions& options() const { return options_; }
 
  private:
+  void require_aligned(std::size_t m, std::size_t n, std::size_t k) const;
+  /// The tile geometry `solution`'s GEMM-shaped kernel runs: the options'
+  /// geometry, except the cuBLAS model, which keeps the paper tiling.
+  gpukernels::TileGeometry tile_of(pipelines::Solution solution) const;
+  DramModelInputs dram_inputs(pipelines::Solution solution, std::size_t m,
+                              std::size_t n, std::size_t k) const;
+
   KernelEstimate finish(const std::string& name,
                         const gpusim::Counters& scaled,
                         const DramTraffic& dram,

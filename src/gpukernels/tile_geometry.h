@@ -19,7 +19,9 @@
 // pipelines::solve (workload/padding.h).
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -74,7 +76,7 @@ struct TileGeometry {
   /// The paper's validated default (identical to `TileGeometry{}`).
   static TileGeometry paper() { return TileGeometry{}; }
 
-  bool operator==(const TileGeometry&) const = default;
+  auto operator<=>(const TileGeometry&) const = default;
 
   bool is_paper() const { return *this == TileGeometry{}; }
 
@@ -123,6 +125,20 @@ struct TileGeometry {
   /// Throws ksum::Error with the first violation.
   void validate() const;
 };
+
+/// The shape pipelines::solve zero-pads a problem to under geometry `g`:
+/// M and N to lcm(tile edge, 128), because the non-tile kernels (norms,
+/// eval, GEMV) keep 128-row CTAs, and K to lcm(tileK, 8).
+struct SolveAlignment {
+  std::size_t m = 0, n = 0, k = 0;
+};
+
+inline SolveAlignment solve_alignment(const TileGeometry& g) {
+  const auto lcm = [](int edge, std::size_t base) {
+    return std::lcm(static_cast<std::size_t>(edge), base);
+  };
+  return {lcm(g.tile_m, 128), lcm(g.tile_n, 128), lcm(g.tile_k, 8)};
+}
 
 struct GemmGrid {
   gpusim::GridDim grid;

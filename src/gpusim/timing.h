@@ -42,9 +42,10 @@ struct LaunchShape {
   std::size_t num_ctas = 1;
   LaunchConfig config;
   Occupancy occupancy;
-  /// Main-loop iterations per CTA (K/8 for the GEMM-structured kernels);
-  /// amortises the prologue/epilogue. Use 0 for kernels with no main loop
-  /// (pure streaming passes) — they take the grade's streaming path.
+  /// Main-loop iterations per CTA (mainloop_iters_for_k for the
+  /// GEMM-structured kernels); amortises the prologue/epilogue. Use 0 for
+  /// kernels with no main loop (pure streaming passes) — they take the
+  /// grade's streaming path.
   double mainloop_iters = 0;
   config::KernelGrade grade;
   /// Double buffering (paper §III-A) lets tile loads overlap the rank-8
@@ -52,6 +53,14 @@ struct LaunchShape {
   /// kernel pays max → sum on the bound resources.
   bool overlapped_memory = true;
 };
+
+/// LaunchShape::mainloop_iters of a main loop over K: paper-equivalent
+/// rank-8 steps, whatever the tile's own K depth. The prologue then costs
+/// the same for every tile geometry, so a shallow tileK cannot look cheaper
+/// through a change of unit alone.
+inline double mainloop_iters_for_k(std::size_t k) {
+  return static_cast<double>(k) / 8.0;
+}
 
 struct TimingBreakdown {
   double compute_cycles = 0;

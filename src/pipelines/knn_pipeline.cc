@@ -3,7 +3,6 @@
 #include "gpukernels/gemm_cublas_model.h"
 #include "gpukernels/kernel_eval.h"
 #include "gpukernels/norms.h"
-#include "gpukernels/tile_geometry.h"
 
 namespace ksum::pipelines {
 namespace {
@@ -57,7 +56,7 @@ KnnReport run_knn_pipeline(KnnSolution solution,
   report.k_nn = k_nn;
 
   const auto cuda_grade = options.cuda_kernel_grade;
-  const double iters = double(k) / gpukernels::kTileK;
+  const double iters = gpusim::mainloop_iters_for_k(k);
 
   report.kernels.push_back(
       knn_report(options, gpukernels::run_norms_a(device, ws), 0, cuda_grade));

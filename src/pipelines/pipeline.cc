@@ -165,7 +165,7 @@ PipelineReport run_pipeline(Solution solution,
     fopts.checksum = vsink;
     const auto fused = gpukernels::run_fused_ksum(device, ws, params, fopts);
     report.kernels.push_back(make_report(
-        options, fused.main, double(k) / geometry.tile_k, cuda_grade,
+        options, fused.main, gpusim::mainloop_iters_for_k(k), cuda_grade,
         2.0 * mn * double(k) + 8.0 * mn, options.mainloop.double_buffer));
     for (const auto& extra : fused.extra) {
       report.kernels.push_back(
@@ -189,14 +189,14 @@ PipelineReport run_pipeline(Solution solution,
           options,
           gpukernels::run_gemm_cudac(device, ws.a, ws.b, ws.c, m, n, k,
                                      gopts),
-          double(k) / geometry.tile_k, cuda_grade, gemm_flops,
+          gpusim::mainloop_iters_for_k(k), cuda_grade, gemm_flops,
           options.mainloop.double_buffer));
     } else {
       report.kernels.push_back(make_report(
           options,
           gpukernels::run_gemm_cublas_model(device, ws.a, ws.b, ws.c, m, n,
                                             k),
-          double(k) / gpukernels::kTileK, asm_grade, gemm_flops));
+          gpusim::mainloop_iters_for_k(k), asm_grade, gemm_flops));
     }
     if (options.checks.enabled && options.checks.gemm_colsum) {
       // Audit C = AᵀB while it still exists — the eval pass below

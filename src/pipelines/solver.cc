@@ -1,7 +1,6 @@
 #include "pipelines/solver.h"
 
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "common/error.h"
@@ -152,24 +151,14 @@ SolveResult solve(const workload::Instance& instance,
       // Ragged shapes embed into the tile geometry by exact zero-padding
       // (workload/padding.h): the first M entries of V are bit-identical to
       // an aligned run's, so the caller-visible result just truncates. The
-      // report (and its ABFT verdicts) describes the padded run. The
-      // non-tile kernels (norms, GEMV, eval) keep 128-row CTAs, so M and N
-      // align to lcm(tile edge, 128) and K to lcm(tile_k, 8).
-      const gpukernels::TileGeometry& geometry =
-          run_options.mainloop.geometry;
-      const std::size_t m_align =
-          std::lcm(static_cast<std::size_t>(geometry.tile_m),
-                   std::size_t{128});
-      const std::size_t n_align =
-          std::lcm(static_cast<std::size_t>(geometry.tile_n),
-                   std::size_t{128});
-      const std::size_t k_align =
-          std::lcm(static_cast<std::size_t>(geometry.tile_k), std::size_t{8});
-      const bool padded = !workload::is_shape_aligned(instance.spec, m_align,
-                                                      n_align, k_align);
+      // report (and its ABFT verdicts) describes the padded run.
+      const auto align =
+          gpukernels::solve_alignment(run_options.mainloop.geometry);
+      const bool padded = !workload::is_shape_aligned(instance.spec, align.m,
+                                                      align.n, align.k);
       const workload::Instance& run_instance =
           padded ? pad_storage.emplace(workload::pad_instance(
-                       instance, m_align, n_align, k_align))
+                       instance, align.m, align.n, align.k))
                  : instance;
 
       // Every attempt re-seeds the injector's per-site RNG streams, so a

@@ -123,7 +123,7 @@ void LaunchProfiler::on_launch_end(const gpusim::Counters& launch_counters) {
 TimingHints default_timing_hints(const std::string& kernel_name,
                                  std::size_t k_total) {
   TimingHints hints;
-  const double iters = static_cast<double>(k_total) / 8.0;
+  const double iters = gpusim::mainloop_iters_for_k(k_total);
   if (kernel_name == "fused_ksum" || kernel_name == "gemm_cudac" ||
       kernel_name == "fused_knn") {
     hints.mainloop_iters = iters;

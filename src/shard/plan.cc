@@ -1,7 +1,6 @@
 #include "shard/plan.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.h"
 #include "workload/padding.h"
@@ -50,11 +49,7 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
   const ShardSpec& spec = options.shards;
   const gpukernels::TileGeometry& geometry = options.mainloop.geometry;
   const std::size_t tile_n = static_cast<std::size_t>(geometry.tile_n);
-  const std::size_t m_align =
-      std::lcm(static_cast<std::size_t>(geometry.tile_m), std::size_t{128});
-  const std::size_t n_align = std::lcm(tile_n, std::size_t{128});
-  const std::size_t k_align =
-      std::lcm(static_cast<std::size_t>(geometry.tile_k), std::size_t{8});
+  const auto alignment = gpukernels::solve_alignment(geometry);
 
   ShardAxis axis = spec.axis;
   if (axis == ShardAxis::kAuto) {
@@ -76,7 +71,7 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
   }
 
   const std::size_t dim = axis == ShardAxis::kM ? m : n;
-  const std::size_t align = axis == ShardAxis::kM ? m_align : n_align;
+  const std::size_t align = axis == ShardAxis::kM ? alignment.m : alignment.n;
   const std::size_t blocks = ceil_div(dim, align);
 
   std::size_t count = 0;
@@ -91,12 +86,12 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
       const std::size_t largest = ceil_div(blocks, c) * align;
       const std::size_t sm = axis == ShardAxis::kM
                                  ? largest
-                                 : workload::round_up(m, m_align);
+                                 : workload::round_up(m, alignment.m);
       const std::size_t sn = axis == ShardAxis::kM
-                                 ? workload::round_up(n, n_align)
+                                 ? workload::round_up(n, alignment.n)
                                  : largest;
       if (pipelines::required_device_bytes(
-              sm, sn, workload::round_up(k, k_align), unfused, tile_n) <=
+              sm, sn, workload::round_up(k, alignment.k), unfused, tile_n) <=
           budget) {
         count = c;
       }

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -175,19 +174,15 @@ pipelines::SolveResult run_sharded(const workload::Instance& instance,
   // builds a one-off fresh device, which is the same bits, just colder.
   const gpukernels::TileGeometry& geometry = options.mainloop.geometry;
   const std::size_t tile_n = static_cast<std::size_t>(geometry.tile_n);
-  const std::size_t m_align =
-      std::lcm(static_cast<std::size_t>(geometry.tile_m), std::size_t{128});
-  const std::size_t n_align = std::lcm(tile_n, std::size_t{128});
-  const std::size_t k_align =
-      std::lcm(static_cast<std::size_t>(geometry.tile_k), std::size_t{8});
+  const auto align = gpukernels::solve_alignment(geometry);
   std::size_t arena_bytes = 0;
   for (const workload::Instance& slice : slices) {
     arena_bytes = std::max(
         arena_bytes,
         pipelines::required_device_bytes(
-            workload::round_up(slice.spec.m, m_align),
-            workload::round_up(slice.spec.n, n_align),
-            workload::round_up(slice.spec.k, k_align),
+            workload::round_up(slice.spec.m, align.m),
+            workload::round_up(slice.spec.n, align.n),
+            workload::round_up(slice.spec.k, align.k),
             solution != Solution::kFused, tile_n));
   }
 

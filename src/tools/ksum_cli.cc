@@ -234,6 +234,7 @@ int run_batch(const FlagParser& flags, pipelines::Backend backend,
   } else if (tile == "auto") {
     base.options.geometry_resolver = &tile_cache;
   }
+  const auto dense_cost = tools::attach_dense_cost(base.options);
 
   const std::string path = flags.get_string("batch", "");
   KSUM_REQUIRE(!path.empty(), "--batch needs a file path");
@@ -374,7 +375,7 @@ int cmd_solve(int argc, const char* const* argv) {
       flags, backend == pipelines::Backend::kSimFused, options);
   const auto faults = tools::faults_from_flags(flags, backend, options);
   tools::shards_from_flags(flags, backend, options);
-  const auto dense_cost = tools::tree_from_flags(flags, options);
+  tools::tree_from_flags(flags, options);
 
   if (flags.has("batch")) {
     return run_batch(flags, backend, threads, faults, device.profile.name,
@@ -394,6 +395,7 @@ int cmd_solve(int argc, const char* const* argv) {
                        device.profile.name, tile_cache, options)) {
     return 1;
   }
+  const auto dense_cost = tools::attach_dense_cost(options);
 
   const auto result = pipelines::solve(instance, params, backend, options);
   std::printf("%s on %s\n", pipelines::to_string(backend).c_str(),

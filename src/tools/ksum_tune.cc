@@ -6,11 +6,11 @@
 //                   [--profile=P] [--threads=4] [--cache=FILE] [--json]
 //   ksum-tune sweep [--fast] [--threads=4] [--cache=FILE] [--json]
 //
-// `best` runs the enumerate → prune → execute → score pass for one shape;
+// `best` runs the enumerate → prune → price → pick pass for one shape;
 // `sweep` tunes the paper's operating shapes (M=N ∈ {4096, 8192, 16384},
 // K ∈ {8, 250}). --profile selects the device (a built-in name or a
 // ksum-device-profile-v1 file). --cache=FILE reads an
-// existing ksum-tune-cache-v1 file, cross-checks any hit against the fresh
+// existing ksum-tune-cache-v2 file, cross-checks any hit against the fresh
 // tune, records every winner under the active profile, and writes it back.
 // --json emits a ksum-tune-v1 record (validated against the executable
 // schema before printing); all JSON is a pure function of the flags,
@@ -90,20 +90,12 @@ int cmd_grid(const std::string& command, int argc, const char* const* argv) {
 
 Table tune_table(const std::vector<tune::TuneReport>& tunes) {
   Table t("Tile-geometry autotuning");
-  t.header({"shape", "backend", "best", "proxy time", "scaled time",
-            "max err"});
+  t.header({"shape", "backend", "best", "modelled time"});
   for (const auto& r : tunes) {
-    const tune::TuneMeasurement* winner = nullptr;
-    for (const auto& m : r.measurements) {
-      if (m.executed && m.verdict.geometry == r.best) winner = &m;
-    }
     t.row({str_format("%zux%zu K=%zu", r.request.m, r.request.n,
                       r.request.k),
            pipelines::to_string(r.request.backend), r.best.to_string(),
-           str_format("%.3f ms", r.best_proxy_seconds * 1e3),
-           str_format("%.3f ms", r.best_scaled_seconds * 1e3),
-           winner != nullptr ? str_format("%.2e", winner->oracle_rel_error)
-                             : "-"});
+           str_format("%.3f ms", r.best_scaled_seconds * 1e3)});
   }
   return t;
 }
@@ -137,7 +129,6 @@ int run_tunes(const std::string& command, const FlagParser& flags,
     tune::TuningCache::Entry entry;
     entry.geometry = report.best;
     entry.scaled_seconds = report.best_scaled_seconds;
-    entry.proxy_seconds = report.best_proxy_seconds;
     cache.insert(request.m, request.n, request.k, solution, entry,
                  options.profile);
     tunes.push_back(report);
@@ -156,7 +147,7 @@ void declare_tune_flags(FlagParser& flags) {
   tools::declare_device_flags(flags);
   flags.declare("solution", "fused | cuda-unfused | cublas-unfused")
       .declare("threads", "worker threads for the candidate fan-out")
-      .declare("cache", "tuning-cache file to read/update (ksum-tune-cache-v1)")
+      .declare("cache", "tuning-cache file to read/update (ksum-tune-cache-v2)")
       .declare("json", "emit a ksum-tune-v1 record", false);
 }
 

@@ -202,8 +202,7 @@ void shards_from_flags(const FlagParser& flags, pipelines::Backend backend,
   }
 }
 
-std::unique_ptr<tree::DenseCostModel> tree_from_flags(
-    const FlagParser& flags, pipelines::RunOptions& options) {
+void tree_from_flags(const FlagParser& flags, pipelines::RunOptions& options) {
   const std::string mode =
       given(flags, "tree") ? flags.get_string("tree", "force") : "force";
   KSUM_REQUIRE(mode == "force" || mode == "auto",
@@ -214,7 +213,7 @@ std::unique_ptr<tree::DenseCostModel> tree_from_flags(
                    std::string("conflicting flags: --") + name +
                        " qualifies --tree-eps; give --tree-eps=EPS too");
     }
-    return nullptr;
+    return;
   }
   const double eps = flags.get_double("tree-eps", 0.0);
   KSUM_REQUIRE(eps >= 0.0,
@@ -233,8 +232,12 @@ std::unique_ptr<tree::DenseCostModel> tree_from_flags(
   }
   KSUM_REQUIRE(options.tree.box_leaf >= 1 && options.tree.row_leaf >= 1,
                "--tree-box-leaf and --tree-row-leaf must be positive");
-  if (mode != "auto") return nullptr;
-  options.tree.mode = tree::TreeMode::kAuto;
+  if (mode == "auto") options.tree.mode = tree::TreeMode::kAuto;
+}
+
+std::unique_ptr<tree::DenseCostModel> attach_dense_cost(
+    pipelines::RunOptions& options) {
+  if (options.tree.mode != tree::TreeMode::kAuto) return nullptr;
   auto model = std::make_unique<analytic::DenseCost>(options);
   options.tree.cost_model = model.get();
   return model;

@@ -94,10 +94,14 @@ void shards_from_flags(const FlagParser& flags, pipelines::Backend backend,
 /// --tree-eps (>= 0) and its qualifiers --tree=force|auto, --tree-box-leaf
 /// and --tree-row-leaf onto options.tree; leaf sizes not given keep the
 /// values already in options.tree. The treecode's ε guarantee does not
-/// survive --fault-rate. Returns the dense cost model --tree=auto consults
-/// (null otherwise); keep it alive through the solve.
-std::unique_ptr<tree::DenseCostModel> tree_from_flags(
-    const FlagParser& flags, pipelines::RunOptions& options);
+/// survive --fault-rate.
+void tree_from_flags(const FlagParser& flags, pipelines::RunOptions& options);
+
+/// For --tree=auto, attaches the dense cost model the decision consults,
+/// priced in options.mainloop.geometry as it stands, so call it after --tile
+/// is applied. Returns null otherwise; keep it alive through the solve.
+std::unique_ptr<tree::DenseCostModel> attach_dense_cost(
+    pipelines::RunOptions& options);
 
 /// --json (stdout) and --json-out=FILE are exclusive.
 void check_json_flags(const FlagParser& flags, const std::string& usage);

@@ -58,11 +58,8 @@ void validate_candidate(const Json& c, bool measured) {
   const bool executed = c.at("executed").as_bool();
   check(executed == viable, "exactly the viable candidates execute");
   if (executed) {
-    check(c.at("proxy_seconds").as_double() > 0 &&
-              c.at("scaled_seconds").as_double() > 0,
+    check(c.at("scaled_seconds").as_double() > 0,
           "an executed candidate must carry positive modelled seconds");
-    check(c.at("proxy_energy_j").as_double() > 0,
-          "an executed candidate must carry positive modelled energy");
   }
 }
 
@@ -105,9 +102,6 @@ void validate_tune(const Json& t) {
   check(t.at("best_scaled_seconds").as_double() ==
             (*best).at("scaled_seconds").as_double(),
         "best_scaled_seconds does not match the winning candidate");
-  check(t.at("best_proxy_seconds").as_double() ==
-            (*best).at("proxy_seconds").as_double(),
-        "best_proxy_seconds does not match the winning candidate");
 }
 
 }  // namespace
@@ -130,10 +124,7 @@ Json verdict_to_json(const CandidateVerdict& verdict) {
 Json measurement_to_json(const TuneMeasurement& m) {
   Json c = verdict_to_json(m.verdict);
   c.set("executed", m.executed);
-  c.set("proxy_seconds", m.proxy_seconds);
-  c.set("proxy_energy_j", m.proxy_energy_j);
   c.set("scaled_seconds", m.scaled_seconds);
-  c.set("oracle_rel_error", m.oracle_rel_error);
   return c;
 }
 
@@ -149,7 +140,6 @@ Json tune_report_to_json(const TuneReport& report) {
   set_geometry_fields(best, report.best);
   t.set("best", std::move(best));
   t.set("best_scaled_seconds", report.best_scaled_seconds);
-  t.set("best_proxy_seconds", report.best_proxy_seconds);
   Json candidates = Json::array();
   for (const auto& m : report.measurements) {
     candidates.push_back(measurement_to_json(m));

@@ -16,10 +16,9 @@
 //     "tunes": [ {
 //         "shape": {"m":…, "n":…, "k":…}, "backend": "sim-fused",
 //         "best": {"geometry": "…", <geometry fields>},
-//         "best_scaled_seconds":…, "best_proxy_seconds":…,
+//         "best_scaled_seconds":…,
 //         "candidates": [ { <candidate fields>, "executed": bool,
-//             "proxy_seconds":…, "proxy_energy_j":…, "scaled_seconds":…,
-//             "oracle_rel_error":… } ] } ]
+//             "scaled_seconds":… } ] } ]
 //   }
 //
 // validate_tune_json() is the schema's executable definition: beyond the
@@ -41,7 +40,7 @@ namespace ksum::tune {
 /// One vetted candidate (the list/prune row).
 profile::Json verdict_to_json(const CandidateVerdict& verdict);
 
-/// One measured candidate (verdict fields + execution fields).
+/// One priced candidate (verdict fields + execution fields).
 profile::Json measurement_to_json(const TuneMeasurement& m);
 
 /// One tuned shape (the best/sweep element).

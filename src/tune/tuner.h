@@ -1,25 +1,15 @@
-// The tile-geometry autotuner: executes the pruned candidates on the
-// simulated device and picks the winner for a problem shape.
+// The tile-geometry autotuner: prices the pruned candidates on the active
+// device and picks the winner for a problem shape.
 //
-// Every surviving geometry runs the requested pipeline on a fixed proxy
-// shape (small enough to simulate quickly, large enough that every candidate
-// tile fits it a whole number of times), on its own private Device via
-// pipelines::solve — candidates are independent, so they fan out over an
-// exec::ThreadPool and the measurement vector is aggregated by candidate
-// index, byte-identical for any worker count.
-//
-// Scoring re-runs the timing model at the requested shape rather than
-// extrapolating wall time linearly: for each tile-structured kernel in the
-// proxy report (mainloop_iters > 0) the measured event counters are rescaled
-// by the CTA-count and main-loop-iteration ratios between the proxy and the
-// (lcm-padded) requested shape, and estimate_kernel_time re-runs with the
-// real launch geometry. That keeps the effects a tiny proxy distorts —
-// tail-wave fill, CTA-dispatch waves, prologue amortisation (K/tileK
-// iterations) — honest at the real shape, while the per-iteration event
-// mix (smem/L2/DRAM traffic per tile, issue grade) comes from actual
-// simulation. Non-tile kernels (norms, eval, GEMV, reductions) are
-// geometry-independent, so their proxy seconds scale by the M·N ratio — a
-// common additive term that cannot perturb the ranking. Ties break
+// Every surviving geometry is scored by the analytic pipeline model
+// (analytic/pipeline_model.h) at the shape pipelines::solve would run it
+// on: the request zero-padded to that geometry's alignment. The model
+// calibrates one CTA of the candidate's tile kernels on the active device
+// and scales it by the CTA count, so every compute, shared-memory and L2
+// count is the one a full simulation of that solve produces, and DRAM comes
+// from the closed-form model. Candidates are independent, so they fan out
+// over an exec::ThreadPool and the measurement vector is aggregated by
+// candidate index, byte-identical for any worker count. Ties break
 // deterministically (paper geometry first, then to_string order), so the
 // tuner is a pure function of (shape, backend, options).
 #pragma once
@@ -28,18 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "config/energy_spec.h"
 #include "pipelines/solver.h"
 #include "tune/tile_search.h"
 
 namespace ksum::tune {
-
-/// The shape every candidate is actually simulated on: a multiple of every
-/// candidate tile edge (all edges divide 256) and of the non-tile kernels'
-/// 128-row CTAs; K is a multiple of every candidate tileK.
-inline constexpr std::size_t kProxyM = 512;
-inline constexpr std::size_t kProxyN = 512;
-inline constexpr std::size_t kProxyK = 16;
 
 struct TuneRequest {
   std::size_t m = 0, n = 0, k = 0;
@@ -52,7 +34,6 @@ struct TuneOptions {
   int threads = 1;
   config::DeviceSpec device = config::DeviceSpec::gtx970();
   config::TimingSpec timing = config::TimingSpec::gtx970();
-  config::EnergySpec energy = config::EnergySpec::gtx970_mcpat();
   /// Identity of the device profile the specs above came from. Keys the
   /// tuning cache (a geometry tuned for one architecture must never be
   /// served to another).
@@ -60,14 +41,14 @@ struct TuneOptions {
   gpukernels::TileLayout layout = gpukernels::TileLayout::kFig5;
 };
 
-/// One candidate's pruning verdict plus (for survivors) its measurement.
+/// One candidate's pruning verdict plus (for survivors) its price.
 struct TuneMeasurement {
   CandidateVerdict verdict;
+  /// True for the viable candidates: one CTA of each ran on the
+  /// calibration device.
   bool executed = false;
-  double proxy_seconds = 0;    // modelled seconds of the proxy run
-  double proxy_energy_j = 0;
-  double scaled_seconds = 0;   // re-modelled at the requested shape
-  double oracle_rel_error = 0; // proxy result vs the host oracle
+  /// Modelled seconds of the solve at the request padded for this geometry.
+  double scaled_seconds = 0;
 };
 
 struct TuneReport {
@@ -76,16 +57,15 @@ struct TuneReport {
   /// Winner among the executed candidates (lowest scaled_seconds).
   gpukernels::TileGeometry best;
   double best_scaled_seconds = 0;
-  double best_proxy_seconds = 0;
 };
 
-/// Tuner options matching a solve's RunOptions (same device, timing,
-/// energy and layout), keyed under `profile` so cached winners never leak
-/// across architectures.
+/// Tuner options matching a solve's RunOptions (same device, timing and
+/// layout), keyed under `profile` so cached winners never leak across
+/// architectures.
 TuneOptions options_for(const pipelines::RunOptions& options,
                         const std::string& profile);
 
-/// Runs the full enumerate → prune → execute → score pass. Throws
+/// Runs the full enumerate → prune → price → pick pass. Throws
 /// ksum::Error for a host backend, a zero dimension, or when no candidate
 /// survives pruning (cannot happen with the stock grid — the paper geometry
 /// always survives).

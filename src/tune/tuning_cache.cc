@@ -12,6 +12,8 @@ using profile::Json;
 
 namespace {
 
+constexpr const char* kSchema = "ksum-tune-cache-v2";
+
 pipelines::Solution solution_from_string(const std::string& name) {
   if (name == to_string(pipelines::Solution::kFused)) {
     return pipelines::Solution::kFused;
@@ -22,11 +24,11 @@ pipelines::Solution solution_from_string(const std::string& name) {
   if (name == to_string(pipelines::Solution::kCublasUnfused)) {
     return pipelines::Solution::kCublasUnfused;
   }
-  throw Error("ksum-tune-cache-v1: unknown solution: " + name);
+  throw Error(std::string(kSchema) + ": unknown solution: " + name);
 }
 
 void check(bool cond, const std::string& what) {
-  if (!cond) throw Error("ksum-tune-cache-v1: " + what);
+  if (!cond) throw Error(std::string(kSchema) + ": " + what);
 }
 
 std::size_t entry_size(const Json& e, const char* key) {
@@ -97,7 +99,6 @@ TuningCache::Entry TuningCache::get_or_tune(std::size_t m, std::size_t n,
   Entry entry;
   entry.geometry = report.best;
   entry.scaled_seconds = report.best_scaled_seconds;
-  entry.proxy_seconds = report.best_proxy_seconds;
   insert(m, n, k, solution, entry, options.profile);
   return entry;
 }
@@ -109,7 +110,7 @@ std::size_t TuningCache::size() const {
 
 Json TuningCache::to_json() const {
   Json record = Json::object();
-  record.set("schema", "ksum-tune-cache-v1");
+  record.set("schema", kSchema);
   Json entries = Json::array();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -131,7 +132,6 @@ Json TuningCache::to_json() const {
       e.set("block_y", g.block_y);
       e.set("micro", g.micro);
       e.set("scaled_seconds", entry.scaled_seconds);
-      e.set("proxy_seconds", entry.proxy_seconds);
       entries.push_back(std::move(e));
     }
   }
@@ -159,7 +159,6 @@ void TuningCache::load_json(const Json& record) {
     entry.geometry.block_y = static_cast<int>(e.at("block_y").as_double());
     entry.geometry.micro = static_cast<int>(e.at("micro").as_double());
     entry.scaled_seconds = e.at("scaled_seconds").as_double();
-    entry.proxy_seconds = e.at("proxy_seconds").as_double();
     entries[key] = entry;
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -185,8 +184,13 @@ void TuningCache::load(const std::string& path) {
 
 void validate_tune_cache_json(const Json& record) {
   check(record.is_object(), "record must be an object");
-  check(record.at("schema").as_string() == "ksum-tune-cache-v1",
-        "schema must be ksum-tune-cache-v1");
+  const std::string schema = record.at("schema").as_string();
+  if (schema == "ksum-tune-cache-v1") {
+    throw Error("ksum-tune-cache-v1 is retired: its winners were priced by "
+                "a proxy re-model; re-tune (delete the file, then rerun with "
+                "--cache) to write a " + std::string(kSchema) + " cache");
+  }
+  check(schema == kSchema, "schema must be " + std::string(kSchema));
   const auto& entries = record.at("entries");
   check(entries.is_array(), "entries must be an array");
   bool have_prev = false;
@@ -223,8 +227,7 @@ void validate_tune_cache_json(const Json& record) {
     g.micro = static_cast<int>(e.at("micro").as_double());
     check(g.structurally_valid(),
           "entry geometry " + g.to_string() + " is structurally invalid");
-    check(e.at("scaled_seconds").as_double() > 0 &&
-              e.at("proxy_seconds").as_double() > 0,
+    check(e.at("scaled_seconds").as_double() > 0,
           "entry seconds must be positive");
   }
 }

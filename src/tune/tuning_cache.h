@@ -9,22 +9,24 @@
 // active profile; get_or_tune() runs the full tuner on a miss and memoizes
 // the winner under TuneOptions::profile, so a batch of identical shapes
 // tunes exactly once. All entry points are thread-safe, and the serialised
-// form — schema "ksum-tune-cache-v1" — is a pure function of the entries:
+// form — schema "ksum-tune-cache-v2" — is a pure function of the entries:
 // keys serialise in sorted order, values carry no clocks or host state, so
 // the same tuning decisions always produce a byte-identical cache file
 // (the golden tests pin this).
 //
 //   {
-//     "schema": "ksum-tune-cache-v1",
+//     "schema": "ksum-tune-cache-v2",
 //     "entries": [ {
 //         "m":…, "n":…, "k":…, "solution": "Fused", "profile": "gtx970",
 //         "tile_m":…, "tile_n":…, "tile_k":…, "block_x":…, "block_y":…,
-//         "micro":…, "scaled_seconds":…, "proxy_seconds":… } ]
+//         "micro":…, "scaled_seconds":… } ]
 //   }
 //
 // validate_tune_cache_json() enforces the determinism contract: entries must
 // be strictly sorted by (m, n, k, solution, profile) with no duplicates, and
-// every geometry must be structurally valid.
+// every geometry must be structurally valid. A v1 file (winners picked by
+// the retired 512×512×16 proxy re-model) is refused with a request to
+// re-tune.
 #pragma once
 
 #include <map>
@@ -42,7 +44,6 @@ class TuningCache : public pipelines::TileGeometryResolver {
   struct Entry {
     gpukernels::TileGeometry geometry;
     double scaled_seconds = 0;
-    double proxy_seconds = 0;
   };
 
   TuningCache() = default;
@@ -81,7 +82,7 @@ class TuningCache : public pipelines::TileGeometryResolver {
 
   std::size_t size() const;
 
-  /// Serialises to ksum-tune-cache-v1 (validated before returning).
+  /// Serialises to ksum-tune-cache-v2 (validated before returning).
   profile::Json to_json() const;
   /// Replaces the contents from a validated record.
   void load_json(const profile::Json& record);

@@ -129,6 +129,22 @@ TEST(DenseCostTest, PricesThePaddedShapeSolveRuns) {
             dense.dense_seconds(500, 2000, 2));
 }
 
+TEST(DenseCostTest, PricesTheConfiguredGeometry) {
+  // --tree=auto prices the --tile that runs: that geometry's own CTAs at
+  // the shape solve pads to for it (K = 2 pads to lcm(16, 8) = 16 here,
+  // not to the paper's 8).
+  pipelines::RunOptions options;
+  options.mainloop.geometry = {64, 64, 16, 16, 16, 4};
+  const DenseCost dense(options);
+  PipelineModel model(options);
+  EXPECT_EQ(dense.dense_seconds(500, 2000, 2),
+            model.estimate(Solution::kFused, 512, 2048, 16).seconds);
+  const DenseCost paper(pipelines::RunOptions{});
+  EXPECT_NE(dense.dense_seconds(500, 2000, 2),
+            paper.dense_seconds(500, 2000, 2));
+  EXPECT_THROW(model.estimate(Solution::kFused, 512, 2048, 8), Error);
+}
+
 TEST(DenseCostTest, HonorsTheRunOptionsReduction) {
   // The adapter prices the pipeline its RunOptions select: the staged
   // two-pass reduction adds kernels the atomic one does not run.

@@ -105,6 +105,30 @@ TEST(PipelineReportTest, StagedReductionOptionPropagates) {
             2e-3);
 }
 
+TEST(PipelineReportTest, MainloopDepthIsPaperEquivalentForEveryTileK) {
+  // The timing model counts main-loop iterations in rank-8 steps whatever
+  // the geometry's tileK. Counting a candidate's own (shallower or deeper)
+  // K-slices would let a small tileK amortise the prologue over more
+  // iterations and look faster for identical fma, smem and L2 counts.
+  const auto inst = instance_for(128, 128, 16);
+  const auto params = core::params_from_spec(inst.spec);
+  for (const int tile_k : {4, 8, 16}) {
+    RunOptions options;
+    options.mainloop.geometry = {64, 64, tile_k, 8, 8, 8};
+    for (const Solution solution :
+         {Solution::kFused, Solution::kCudaUnfused}) {
+      const auto report = run_pipeline(solution, inst, params, options);
+      ASSERT_GE(report.kernels.size(), 3u);
+      const auto& tile_kernel = report.kernels[2];  // after the two norms
+      EXPECT_EQ(tile_kernel.name, solution == Solution::kFused
+                                      ? "fused_ksum"
+                                      : "gemm_cudac");
+      SCOPED_TRACE(tile_kernel.name + " tileK=" + std::to_string(tile_k));
+      EXPECT_EQ(tile_kernel.shape.mainloop_iters, 16.0 / 8.0);
+    }
+  }
+}
+
 TEST(PipelineReportTest, UsefulFlopsAccounting) {
   EXPECT_DOUBLE_EQ(
       pipeline_useful_flops(128, 128, 8),

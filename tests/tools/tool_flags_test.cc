@@ -194,10 +194,11 @@ TEST(ToolFlagsTest, ShardsTakeAWholeIntegerOrAuto) {
 TEST(ToolFlagsTest, TreeFlagsAndTheirQualifiers) {
   pipelines::RunOptions options;
   options.tree.row_leaf = 64;  // a tool's own default survives
-  const auto model = tree_from_flags(
+  tree_from_flags(
       parsed(solve_flags(),
              {"--tree-eps=1e-4", "--tree=auto", "--tree-box-leaf=32"}),
       options);
+  const auto model = attach_dense_cost(options);
   EXPECT_DOUBLE_EQ(options.tree.eps, 1e-4);
   EXPECT_EQ(options.tree.box_leaf, 32u);
   EXPECT_EQ(options.tree.row_leaf, 64u);
@@ -222,8 +223,8 @@ TEST(ToolFlagsTest, TreeFlagsAndTheirQualifiers) {
 
   // ksum-serve declares --tree-eps alone.
   pipelines::RunOptions serve;
-  EXPECT_EQ(tree_from_flags(parsed(serve_flags(), {"--tree-eps=1e-3"}), serve),
-            nullptr);
+  tree_from_flags(parsed(serve_flags(), {"--tree-eps=1e-3"}), serve);
+  EXPECT_EQ(attach_dense_cost(serve), nullptr);
   EXPECT_DOUBLE_EQ(serve.tree.eps, 1e-3);
 }
 

@@ -1,6 +1,7 @@
 // The tuner's memoization layer: lookup semantics, the resolver contract
-// the solver consults, and the ksum-tune-cache-v1 determinism contract
-// (sorted serialisation, validating loads, file round-trip).
+// the solver consults, and the ksum-tune-cache-v2 determinism contract
+// (sorted serialisation, validating loads, file round-trip, refusal of the
+// retired v1 schema).
 #include "tune/tuning_cache.h"
 
 #include <gtest/gtest.h>
@@ -30,12 +31,10 @@ TileGeometry small_square() {
   return g;
 }
 
-tune::TuningCache::Entry entry_of(const TileGeometry& g, double scaled,
-                                  double proxy) {
+tune::TuningCache::Entry entry_of(const TileGeometry& g, double scaled) {
   tune::TuningCache::Entry e;
   e.geometry = g;
   e.scaled_seconds = scaled;
-  e.proxy_seconds = proxy;
   return e;
 }
 
@@ -56,7 +55,7 @@ TEST(TuningCacheTest, InsertFindResolve) {
   EXPECT_FALSE(cache.resolve(64, 64, 8, Solution::kFused).has_value());
 
   cache.insert(64, 64, 8, Solution::kFused,
-               entry_of(small_square(), 1e-3, 2e-3));
+               entry_of(small_square(), 1e-3));
   EXPECT_EQ(cache.size(), 1u);
   const auto hit = cache.find(64, 64, 8, Solution::kFused);
   ASSERT_TRUE(hit.has_value());
@@ -71,12 +70,12 @@ TEST(TuningCacheTest, InsertFindResolve) {
   // is a distinct entry.
   EXPECT_FALSE(cache.find(64, 64, 8, Solution::kCudaUnfused).has_value());
   cache.insert(64, 64, 8, Solution::kCudaUnfused,
-               entry_of(TileGeometry{}, 3e-3, 4e-3));
+               entry_of(TileGeometry{}, 3e-3));
   EXPECT_EQ(cache.size(), 2u);
 
   // Replacing a key keeps the size and updates the value.
   cache.insert(64, 64, 8, Solution::kFused,
-               entry_of(TileGeometry{}, 5e-3, 6e-3));
+               entry_of(TileGeometry{}, 5e-3));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.find(64, 64, 8, Solution::kFused)->geometry.is_paper());
 }
@@ -98,8 +97,8 @@ TEST(TuningCacheTest, ProfileIsPartOfTheKey) {
   wide.micro = 8;
 
   cache.insert(64, 64, 8, Solution::kFused,
-               entry_of(small_square(), 1e-3, 2e-3));  // default = gtx970
-  cache.insert(64, 64, 8, Solution::kFused, entry_of(wide, 3e-3, 4e-3),
+               entry_of(small_square(), 1e-3));  // default = gtx970
+  cache.insert(64, 64, 8, Solution::kFused, entry_of(wide, 3e-3),
                "titanx-maxwell");
   EXPECT_EQ(cache.size(), 2u);
 
@@ -139,15 +138,15 @@ TEST(TuningCacheTest, SerialisationIsSortedAndRoundTrips) {
   tune::TuningCache cache;
   // Insert in descending key order; the record must come out ascending.
   cache.insert(512, 512, 16, Solution::kFused,
-               entry_of(TileGeometry{}, 2e-3, 2e-3));
+               entry_of(TileGeometry{}, 2e-3));
   cache.insert(128, 256, 8, Solution::kCublasUnfused,
-               entry_of(TileGeometry{}, 1e-3, 1e-3));
+               entry_of(TileGeometry{}, 1e-3));
   cache.insert(128, 128, 8, Solution::kFused,
-               entry_of(small_square(), 5e-4, 5e-4));
+               entry_of(small_square(), 5e-4));
 
   const auto record = cache.to_json();
   tune::validate_tune_cache_json(record);
-  EXPECT_EQ(record.at("schema").as_string(), "ksum-tune-cache-v1");
+  EXPECT_EQ(record.at("schema").as_string(), "ksum-tune-cache-v2");
   const auto& entries = record.at("entries");
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries.at(std::size_t{0}).at("m").as_double(), 128);
@@ -165,7 +164,7 @@ TEST(TuningCacheTest, SerialisationIsSortedAndRoundTrips) {
 TEST(TuningCacheTest, FileRoundTrip) {
   tune::TuningCache cache;
   cache.insert(200, 200, 8, Solution::kFused,
-               entry_of(small_square(), 1e-3, 2e-3));
+               entry_of(small_square(), 1e-3));
   const std::string path =
       testing::TempDir() + "/ksum_tuning_cache_test.json";
   cache.save(path);
@@ -181,21 +180,21 @@ TEST(TuningCacheTest, FileRoundTrip) {
 TEST(TuningCacheTest, ValidatorRejectsBrokenRecords) {
   tune::TuningCache cache;
   cache.insert(128, 128, 8, Solution::kFused,
-               entry_of(TileGeometry{}, 1e-3, 1e-3));
+               entry_of(TileGeometry{}, 1e-3));
   cache.insert(256, 128, 8, Solution::kFused,
-               entry_of(TileGeometry{}, 1e-3, 1e-3));
+               entry_of(TileGeometry{}, 1e-3));
   const auto good = cache.to_json();
   const std::string text = good.dump();
 
   {
     auto bad = profile::Json::parse(text);
-    bad.set("schema", profile::Json("ksum-tune-cache-v2"));
+    bad.set("schema", profile::Json("ksum-tune-cache-v3"));
     EXPECT_THROW(tune::validate_tune_cache_json(bad), Error);
   }
   {
     // Swap the two entries: ordering violation.
     auto bad = profile::Json::object();
-    bad.set("schema", profile::Json("ksum-tune-cache-v1"));
+    bad.set("schema", profile::Json("ksum-tune-cache-v2"));
     auto entries = profile::Json::array();
     entries.push_back(good.at("entries").at(std::size_t{1}));
     entries.push_back(good.at("entries").at(std::size_t{0}));
@@ -205,7 +204,7 @@ TEST(TuningCacheTest, ValidatorRejectsBrokenRecords) {
   {
     // Duplicate key.
     auto bad = profile::Json::object();
-    bad.set("schema", profile::Json("ksum-tune-cache-v1"));
+    bad.set("schema", profile::Json("ksum-tune-cache-v2"));
     auto entries = profile::Json::array();
     entries.push_back(good.at("entries").at(std::size_t{0}));
     entries.push_back(good.at("entries").at(std::size_t{0}));
@@ -221,10 +220,30 @@ TEST(TuningCacheTest, ValidatorRejectsBrokenRecords) {
     first.set("micro", profile::Json(12.0));
     entries.push_back(first);
     auto outer = profile::Json::object();
-    outer.set("schema", profile::Json("ksum-tune-cache-v1"));
+    outer.set("schema", profile::Json("ksum-tune-cache-v2"));
     outer.set("entries", entries);
     EXPECT_THROW(tune::validate_tune_cache_json(outer), Error);
   }
+}
+
+TEST(TuningCacheTest, RetiredV1SchemaAsksForARetune) {
+  // v1 winners were ranked by the retired proxy re-model, and its entries
+  // carry a proxy_seconds field v2 no longer has: a stale file must be
+  // refused with a re-tune instruction, never half-loaded.
+  tune::TuningCache cache;
+  cache.insert(128, 128, 8, Solution::kFused, entry_of(TileGeometry{}, 1e-3));
+  auto stale = profile::Json::parse(cache.to_json().dump());
+  stale.set("schema", profile::Json("ksum-tune-cache-v1"));
+  try {
+    tune::validate_tune_cache_json(stale);
+    ADD_FAILURE() << "a v1 cache validated";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("re-tune"), std::string::npos)
+        << e.what();
+  }
+  tune::TuningCache loaded;
+  EXPECT_THROW(loaded.load_json(stale), Error);
+  EXPECT_EQ(loaded.size(), 0u);
 }
 
 }  // namespace
