@@ -1,11 +1,7 @@
 #include "config/profiles/device_profile.h"
 
-#include <cstdint>
-#include <fstream>
-#include <limits>
-#include <sstream>
-
 #include "common/error.h"
+#include "profile/record.h"
 
 namespace ksum::config::profiles {
 
@@ -15,9 +11,52 @@ namespace {
 
 constexpr char kSchema[] = "ksum-device-profile-v1";
 
-void check(bool cond, const std::string& what) {
-  if (!cond) throw Error(std::string(kSchema) + ": " + what);
-}
+// The three spec tables, in the record's key order.
+constexpr profile::Field<DeviceSpec> kDeviceFields[] = {
+    {"num_sms", &DeviceSpec::num_sms},
+    {"max_threads_per_block", &DeviceSpec::max_threads_per_block},
+    {"warp_size", &DeviceSpec::warp_size},
+    {"max_threads_per_sm", &DeviceSpec::max_threads_per_sm},
+    {"registers_per_sm", &DeviceSpec::registers_per_sm},
+    {"max_registers_per_thread", &DeviceSpec::max_registers_per_thread},
+    {"smem_per_sm_bytes", &DeviceSpec::smem_per_sm_bytes},
+    {"smem_bank_width_bytes", &DeviceSpec::smem_bank_width_bytes},
+    {"smem_num_banks", &DeviceSpec::smem_num_banks},
+    {"num_warp_schedulers", &DeviceSpec::num_warp_schedulers},
+    {"l2_bytes", &DeviceSpec::l2_bytes},
+    {"max_blocks_per_sm", &DeviceSpec::max_blocks_per_sm},
+    {"smem_per_block_limit", &DeviceSpec::smem_per_block_limit},
+    {"l2_line_bytes", &DeviceSpec::l2_line_bytes},
+    {"l2_sector_bytes", &DeviceSpec::l2_sector_bytes},
+    {"l2_ways", &DeviceSpec::l2_ways},
+    {"dram_transaction_bytes", &DeviceSpec::dram_transaction_bytes},
+    {"cache_globals_in_l1", &DeviceSpec::cache_globals_in_l1},
+    {"l1_bytes", &DeviceSpec::l1_bytes},
+    {"l1_ways", &DeviceSpec::l1_ways},
+    {"core_clock_ghz", &DeviceSpec::core_clock_ghz},
+    {"fma_lanes_per_sm", &DeviceSpec::fma_lanes_per_sm},
+    {"dram_bandwidth_gb_s", &DeviceSpec::dram_bandwidth_gb_s},
+    {"l2_bandwidth_bytes_per_cycle",
+     &DeviceSpec::l2_bandwidth_bytes_per_cycle},
+    {"shard_arena_bytes", &DeviceSpec::shard_arena_bytes},
+};
+
+constexpr profile::Field<TimingSpec> kTimingFields[] = {
+    {"launch_overhead_cycles", &TimingSpec::launch_overhead_cycles},
+    {"cta_dispatch_cycles", &TimingSpec::cta_dispatch_cycles},
+    {"dram_efficiency", &TimingSpec::dram_efficiency},
+};
+
+constexpr profile::Field<EnergySpec> kEnergyFields[] = {
+    {"fma_pj", &EnergySpec::fma_pj},
+    {"sfu_pj", &EnergySpec::sfu_pj},
+    {"instruction_pj", &EnergySpec::instruction_pj},
+    {"smem_access_pj", &EnergySpec::smem_access_pj},
+    {"l1_access_pj", &EnergySpec::l1_access_pj},
+    {"l2_access_pj", &EnergySpec::l2_access_pj},
+    {"dram_access_pj", &EnergySpec::dram_access_pj},
+    {"static_power_w", &EnergySpec::static_power_w},
+};
 
 bool valid_name(const std::string& name) {
   if (name.empty()) return false;
@@ -29,124 +68,42 @@ bool valid_name(const std::string& name) {
   return true;
 }
 
-// Field readers: every field is required, typed, and (for the integer
-// fields) exactly integral — 13.5 SMs is a schema error, not a truncation.
-double read_double(const Json& obj, const char* key) {
-  return obj.at(key).as_double();
+template <class S>
+Json section(const S& spec, profile::Fields<std::type_identity_t<S>> fields) {
+  Json out = Json::object();
+  profile::write(out, spec, fields);
+  return out;
 }
 
-int read_int(const Json& obj, const char* key) {
-  const double v = read_double(obj, key);
-  check(v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-            v >= std::numeric_limits<int>::min() &&
-            v <= std::numeric_limits<int>::max(),
-        std::string(key) + " must be an integer");
-  return static_cast<int>(v);
+// Every field is required and typed; integer fields are exactly integral
+// and in range (13.5 SMs is a schema error, not a truncation).
+template <class S>
+void read_section(const profile::Reader& record, const char* key, S& spec,
+                  profile::Fields<std::type_identity_t<S>> fields) {
+  const profile::Reader object = record.member(key);
+  object.closed({}, fields);
+  profile::read(object, spec, fields);
 }
 
-std::size_t read_size(const Json& obj, const char* key) {
-  const double v = read_double(obj, key);
-  check(v >= 0 && v == static_cast<double>(static_cast<std::uint64_t>(v)),
-        std::string(key) + " must be a non-negative integer");
-  return static_cast<std::size_t>(v);
-}
+}  // namespace
 
-bool read_bool(const Json& obj, const char* key) {
-  return obj.at(key).as_bool();
-}
-
-void check_keys(const Json& obj, const char* what,
-                std::initializer_list<const char*> allowed) {
-  check(obj.is_object(), std::string(what) + " must be an object");
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    bool known = false;
-    for (const char* k : allowed) {
-      if (key == k) {
-        known = true;
-        break;
-      }
-    }
-    check(known, std::string(what) + " has unknown key \"" + key + "\"");
-  }
-}
-
-DeviceProfile parse_profile(const Json& record) {
-  check_keys(record, "record",
-             {"schema", "name", "description", "device", "timing", "energy"});
-  check(record.at("schema").as_string() == kSchema,
-        "schema must be " + std::string(kSchema));
+DeviceProfile from_json(const Json& json) {
+  const profile::Reader record(json, kSchema);
+  record.closed({"schema", "name", "description", "device", "timing",
+                 "energy"});
+  const profile::Reader schema = record.member("schema");
+  schema.expect(schema.string() == kSchema,
+                "must be \"ksum-device-profile-v1\"");
 
   DeviceProfile p;
-  p.name = record.at("name").as_string();
-  check(valid_name(p.name),
-        "name must be non-empty [A-Za-z0-9._-]: \"" + p.name + "\"");
-  p.description = record.at("description").as_string();
+  p.name = record.member("name").string();
+  p.description = record.member("description").string();
+  read_section(record, "device", p.device, kDeviceFields);
+  read_section(record, "timing", p.timing, kTimingFields);
+  read_section(record, "energy", p.energy, kEnergyFields);
 
-  const Json& d = record.at("device");
-  check_keys(d, "device",
-             {"num_sms", "max_threads_per_block", "warp_size",
-              "max_threads_per_sm", "registers_per_sm",
-              "max_registers_per_thread", "smem_per_sm_bytes",
-              "smem_bank_width_bytes", "smem_num_banks",
-              "num_warp_schedulers", "l2_bytes", "max_blocks_per_sm",
-              "smem_per_block_limit", "l2_line_bytes", "l2_sector_bytes",
-              "l2_ways", "dram_transaction_bytes", "cache_globals_in_l1",
-              "l1_bytes", "l1_ways", "core_clock_ghz", "fma_lanes_per_sm",
-              "dram_bandwidth_gb_s", "l2_bandwidth_bytes_per_cycle",
-              "shard_arena_bytes"});
-  DeviceSpec& dev = p.device;
-  dev.num_sms = read_int(d, "num_sms");
-  dev.max_threads_per_block = read_int(d, "max_threads_per_block");
-  dev.warp_size = read_int(d, "warp_size");
-  dev.max_threads_per_sm = read_int(d, "max_threads_per_sm");
-  dev.registers_per_sm = read_int(d, "registers_per_sm");
-  dev.max_registers_per_thread = read_int(d, "max_registers_per_thread");
-  dev.smem_per_sm_bytes = read_size(d, "smem_per_sm_bytes");
-  dev.smem_bank_width_bytes = read_int(d, "smem_bank_width_bytes");
-  dev.smem_num_banks = read_int(d, "smem_num_banks");
-  dev.num_warp_schedulers = read_int(d, "num_warp_schedulers");
-  dev.l2_bytes = read_size(d, "l2_bytes");
-  dev.max_blocks_per_sm = read_int(d, "max_blocks_per_sm");
-  dev.smem_per_block_limit = read_size(d, "smem_per_block_limit");
-  dev.l2_line_bytes = read_int(d, "l2_line_bytes");
-  dev.l2_sector_bytes = read_int(d, "l2_sector_bytes");
-  dev.l2_ways = read_int(d, "l2_ways");
-  dev.dram_transaction_bytes = read_int(d, "dram_transaction_bytes");
-  dev.cache_globals_in_l1 = read_bool(d, "cache_globals_in_l1");
-  dev.l1_bytes = read_size(d, "l1_bytes");
-  dev.l1_ways = read_int(d, "l1_ways");
-  dev.core_clock_ghz = read_double(d, "core_clock_ghz");
-  dev.fma_lanes_per_sm = read_int(d, "fma_lanes_per_sm");
-  dev.dram_bandwidth_gb_s = read_double(d, "dram_bandwidth_gb_s");
-  dev.l2_bandwidth_bytes_per_cycle =
-      read_double(d, "l2_bandwidth_bytes_per_cycle");
-  dev.shard_arena_bytes = read_size(d, "shard_arena_bytes");
-
-  const Json& t = record.at("timing");
-  check_keys(t, "timing",
-             {"launch_overhead_cycles", "cta_dispatch_cycles",
-              "dram_efficiency"});
-  p.timing.launch_overhead_cycles = read_double(t, "launch_overhead_cycles");
-  p.timing.cta_dispatch_cycles = read_double(t, "cta_dispatch_cycles");
-  p.timing.dram_efficiency = read_double(t, "dram_efficiency");
-
-  const Json& e = record.at("energy");
-  check_keys(e, "energy",
-             {"fma_pj", "sfu_pj", "instruction_pj", "smem_access_pj",
-              "l1_access_pj", "l2_access_pj", "dram_access_pj",
-              "static_power_w"});
-  p.energy.fma_pj = read_double(e, "fma_pj");
-  p.energy.sfu_pj = read_double(e, "sfu_pj");
-  p.energy.instruction_pj = read_double(e, "instruction_pj");
-  p.energy.smem_access_pj = read_double(e, "smem_access_pj");
-  p.energy.l1_access_pj = read_double(e, "l1_access_pj");
-  p.energy.l2_access_pj = read_double(e, "l2_access_pj");
-  p.energy.dram_access_pj = read_double(e, "dram_access_pj");
-  p.energy.static_power_w = read_double(e, "static_power_w");
-
-  // Cross-field consistency comes from the specs' own rules — the schema
-  // accepts exactly the profiles that can run.
+  // The name and cross-field consistency come from the specs' own rules —
+  // the schema accepts exactly the profiles that can run.
   try {
     p.validate();
   } catch (const Error& err) {
@@ -154,8 +111,6 @@ DeviceProfile parse_profile(const Json& record) {
   }
   return p;
 }
-
-}  // namespace
 
 void DeviceProfile::validate() const {
   KSUM_REQUIRE(valid_name(name),
@@ -275,79 +230,27 @@ Json to_json(const DeviceProfile& p) {
   record.set("schema", kSchema);
   record.set("name", p.name);
   record.set("description", p.description);
-
-  Json d = Json::object();
-  const DeviceSpec& dev = p.device;
-  d.set("num_sms", dev.num_sms);
-  d.set("max_threads_per_block", dev.max_threads_per_block);
-  d.set("warp_size", dev.warp_size);
-  d.set("max_threads_per_sm", dev.max_threads_per_sm);
-  d.set("registers_per_sm", dev.registers_per_sm);
-  d.set("max_registers_per_thread", dev.max_registers_per_thread);
-  d.set("smem_per_sm_bytes", static_cast<std::uint64_t>(dev.smem_per_sm_bytes));
-  d.set("smem_bank_width_bytes", dev.smem_bank_width_bytes);
-  d.set("smem_num_banks", dev.smem_num_banks);
-  d.set("num_warp_schedulers", dev.num_warp_schedulers);
-  d.set("l2_bytes", static_cast<std::uint64_t>(dev.l2_bytes));
-  d.set("max_blocks_per_sm", dev.max_blocks_per_sm);
-  d.set("smem_per_block_limit",
-        static_cast<std::uint64_t>(dev.smem_per_block_limit));
-  d.set("l2_line_bytes", dev.l2_line_bytes);
-  d.set("l2_sector_bytes", dev.l2_sector_bytes);
-  d.set("l2_ways", dev.l2_ways);
-  d.set("dram_transaction_bytes", dev.dram_transaction_bytes);
-  d.set("cache_globals_in_l1", dev.cache_globals_in_l1);
-  d.set("l1_bytes", static_cast<std::uint64_t>(dev.l1_bytes));
-  d.set("l1_ways", dev.l1_ways);
-  d.set("core_clock_ghz", dev.core_clock_ghz);
-  d.set("fma_lanes_per_sm", dev.fma_lanes_per_sm);
-  d.set("dram_bandwidth_gb_s", dev.dram_bandwidth_gb_s);
-  d.set("l2_bandwidth_bytes_per_cycle", dev.l2_bandwidth_bytes_per_cycle);
-  d.set("shard_arena_bytes", static_cast<std::uint64_t>(dev.shard_arena_bytes));
-  record.set("device", std::move(d));
-
-  Json t = Json::object();
-  t.set("launch_overhead_cycles", p.timing.launch_overhead_cycles);
-  t.set("cta_dispatch_cycles", p.timing.cta_dispatch_cycles);
-  t.set("dram_efficiency", p.timing.dram_efficiency);
-  record.set("timing", std::move(t));
-
-  Json e = Json::object();
-  e.set("fma_pj", p.energy.fma_pj);
-  e.set("sfu_pj", p.energy.sfu_pj);
-  e.set("instruction_pj", p.energy.instruction_pj);
-  e.set("smem_access_pj", p.energy.smem_access_pj);
-  e.set("l1_access_pj", p.energy.l1_access_pj);
-  e.set("l2_access_pj", p.energy.l2_access_pj);
-  e.set("dram_access_pj", p.energy.dram_access_pj);
-  e.set("static_power_w", p.energy.static_power_w);
-  record.set("energy", std::move(e));
-
+  record.set("device", section(p.device, kDeviceFields));
+  record.set("timing", section(p.timing, kTimingFields));
+  record.set("energy", section(p.energy, kEnergyFields));
   validate_device_profile_json(record);
   return record;
 }
 
-DeviceProfile from_json(const Json& record) { return parse_profile(record); }
+profile::Fields<DeviceSpec> device_fields() { return kDeviceFields; }
+profile::Fields<TimingSpec> timing_fields() { return kTimingFields; }
+profile::Fields<EnergySpec> energy_fields() { return kEnergyFields; }
 
 void validate_device_profile_json(const Json& record) {
-  (void)parse_profile(record);
+  (void)from_json(record);
 }
 
 void save(const DeviceProfile& p, const std::string& path) {
-  const auto record = to_json(p);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot write device profile: " + path);
-  out << record.dump();
-  out.close();
-  if (!out) throw Error("failed writing device profile: " + path);
+  profile::write_file(path, to_json(p).dump());
 }
 
 DeviceProfile load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open device profile: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return from_json(Json::parse(text.str()));
+  return from_json(profile::read_file(path, "device profile"));
 }
 
 }  // namespace ksum::config::profiles

@@ -33,6 +33,7 @@
 #include "config/energy_spec.h"
 #include "config/timing_spec.h"
 #include "profile/json.h"
+#include "profile/record.h"
 
 namespace ksum::config::profiles {
 
@@ -81,5 +82,10 @@ DeviceProfile load(const std::string& path);
 /// Throws ksum::Error describing the first violation; the schema's
 /// executable definition (strict: unknown keys are errors).
 void validate_device_profile_json(const profile::Json& record);
+
+/// The field tables of the device, timing and energy sections.
+profile::Fields<DeviceSpec> device_fields();
+profile::Fields<TimingSpec> timing_fields();
+profile::Fields<EnergySpec> energy_fields();
 
 }  // namespace ksum::config::profiles

@@ -112,13 +112,9 @@ void escape_to(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void newline_indent(std::string& out, int indent) {
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) * 2, ' ');
-}
-
 }  // namespace
 
+// `indent` < 0 is the single-line form: no newlines, no space after ':'.
 void Json::dump_to(std::string& out, int indent) const {
   switch (type_) {
     case Type::kNull:
@@ -133,36 +129,28 @@ void Json::dump_to(std::string& out, int indent) const {
     case Type::kString:
       escape_to(out, string_);
       return;
-    case Type::kArray: {
-      if (items_.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i != 0) out += ',';
-        newline_indent(out, indent + 1);
-        items_[i].dump_to(out, indent + 1);
-      }
-      newline_indent(out, indent);
-      out += ']';
-      return;
-    }
+    case Type::kArray:
     case Type::kObject: {
-      if (members_.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
+      const auto newline = [&](int level) {
+        if (indent < 0) return;
+        out += '\n';
+        out.append(static_cast<std::size_t>(level) * 2, ' ');
+      };
+      const bool array = type_ == Type::kArray;
+      const std::size_t count = array ? items_.size() : members_.size();
+      out += array ? '[' : '{';
+      for (std::size_t i = 0; i < count; ++i) {
         if (i != 0) out += ',';
-        newline_indent(out, indent + 1);
-        escape_to(out, members_[i].first);
-        out += ": ";
-        members_[i].second.dump_to(out, indent + 1);
+        newline(indent + 1);
+        if (!array) {
+          escape_to(out, members_[i].first);
+          out += indent < 0 ? ":" : ": ";
+        }
+        (array ? items_[i] : members_[i].second)
+            .dump_to(out, indent < 0 ? indent : indent + 1);
       }
-      newline_indent(out, indent);
-      out += '}';
+      if (count != 0) newline(indent);
+      out += array ? ']' : '}';
       return;
     }
   }
@@ -177,45 +165,8 @@ std::string Json::dump() const {
 
 std::string Json::dump_compact() const {
   std::string out;
-  dump_compact_to(out);
+  dump_to(out, -1);
   return out;
-}
-
-void Json::dump_compact_to(std::string& out) const {
-  switch (type_) {
-    case Type::kNull:
-      out += "null";
-      return;
-    case Type::kBool:
-      out += bool_ ? "true" : "false";
-      return;
-    case Type::kNumber:
-      out += json_number(number_);
-      return;
-    case Type::kString:
-      escape_to(out, string_);
-      return;
-    case Type::kArray: {
-      out += '[';
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i != 0) out += ',';
-        items_[i].dump_compact_to(out);
-      }
-      out += ']';
-      return;
-    }
-    case Type::kObject: {
-      out += '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i != 0) out += ',';
-        escape_to(out, members_[i].first);
-        out += ':';
-        members_[i].second.dump_compact_to(out);
-      }
-      out += '}';
-      return;
-    }
-  }
 }
 
 namespace {

@@ -93,7 +93,6 @@ class Json {
 
  private:
   void dump_to(std::string& out, int indent) const;
-  void dump_compact_to(std::string& out) const;
 
   Type type_ = Type::kNull;
   bool bool_ = false;

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "gpusim/access_site.h"
+#include "profile/record.h"
 
 namespace ksum::profile {
 
@@ -217,118 +218,79 @@ Json profile_to_json(const ProgramProfile& profile,
 
 namespace {
 
-const Json& require_member(const Json& obj, const char* key,
-                           Json::Type type, const char* where) {
-  KSUM_REQUIRE(obj.is_object(), std::string(where) + " must be an object");
-  const Json* member = obj.find(key);
-  KSUM_REQUIRE(member != nullptr, std::string(where) + " is missing \"" +
-                                      key + "\"");
-  KSUM_REQUIRE(member->type() == type, std::string(where) + "." + key +
-                                           " has the wrong type");
-  return *member;
+// The validators check the records' invariants — recomposition, contiguity,
+// positivity — and read every field they need through the checked Reader.
+
+void expect_schema(const Reader& record, std::string_view tag) {
+  const Reader schema = record.member("schema");
+  if (schema.string() != tag) {
+    schema.fail("unknown schema \"" + schema.string() + "\"");
+  }
 }
 
-double require_number(const Json& obj, const char* key, const char* where) {
-  return require_member(obj, key, Json::Type::kNumber, where).as_double();
+void expect_positive_dims(const Reader& shape) {
+  for (const char* key : {"m", "n", "k"}) {
+    shape.member(key).expect(shape.member(key).number() > 0,
+                             "must be positive");
+  }
 }
 
-bool close_rel(double a, double b, double tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
+// `value` must equal `sum` within 1e-9 relative tolerance.
+void expect_sum(const Reader& value, double sum, const char* parts) {
+  const double v = value.number();
+  const double scale = std::max({1.0, std::fabs(v), std::fabs(sum)});
+  if (std::fabs(v - sum) > 1e-9 * scale) {
+    value.fail(std::string("does not recompose ") + parts);
+  }
 }
 
-void validate_energy_object(const Json& energy, const char* where) {
+void validate_energy(const Reader& energy) {
   double sum = 0;
   for (const char* key : {"compute", "smem", "l2", "dram", "static"}) {
-    sum += require_number(energy, key, where);
+    sum += energy.member(key).number();
   }
-  const double total = require_number(energy, "total", where);
-  KSUM_REQUIRE(close_rel(sum, total, 1e-9),
-               std::string(where) +
-                   ".total does not equal the sum of its components");
+  expect_sum(energy.member("total"), sum, "its components");
 }
 
-void validate_launch(const Json& launch) {
-  require_member(launch, "kernel", Json::Type::kString, "launch");
-  const Json& grid = require_member(launch, "grid", Json::Type::kArray,
-                                    "launch");
-  KSUM_REQUIRE(grid.size() == 2, "launch.grid must be [x, y]");
-  require_number(launch, "block_threads", "launch");
-  require_number(launch, "seconds", "launch");
-  require_member(launch, "counters", Json::Type::kObject, "launch");
-  const Json& energy = require_member(launch, "energy_j",
-                                      Json::Type::kObject, "launch");
-  validate_energy_object(energy, "launch.energy_j");
-  const Json& residual = require_member(energy, "residual",
-                                        Json::Type::kObject,
-                                        "launch.energy_j");
-
+void validate_launch(const Reader& launch) {
+  const Reader energy = launch.member("energy_j");
+  validate_energy(energy);
   // The attribution acceptance check: per-site energies + residual +
   // compute/static pseudo-buckets must recompose the aggregate total.
-  double attributed = require_number(energy, "compute", "launch.energy_j") +
-                      require_number(energy, "static", "launch.energy_j");
+  double attributed =
+      energy.member("compute").number() + energy.member("static").number();
   for (const char* key : {"smem", "l2", "dram"}) {
-    attributed += require_number(residual, key, "launch.energy_j.residual");
+    attributed += energy.member("residual").member(key).number();
   }
-  const Json& sites = require_member(launch, "sites", Json::Type::kArray,
-                                     "launch");
+  const Reader sites = launch.member("sites");
   for (std::size_t i = 0; i < sites.size(); ++i) {
-    const Json& site = sites.at(i);
-    require_number(site, "site", "site");
-    require_member(site, "location", Json::Type::kString, "site");
-    const Json& site_energy = require_member(site, "energy_j",
-                                             Json::Type::kObject, "site");
-    const double site_total = require_number(site_energy, "total", "site");
-    KSUM_REQUIRE(
-        close_rel(site_total,
-                  require_number(site_energy, "smem", "site.energy_j") +
-                      require_number(site_energy, "l2", "site.energy_j") +
-                      require_number(site_energy, "dram", "site.energy_j"),
-                  1e-9),
-        "site.energy_j.total does not equal the sum of its components");
-    attributed += site_total;
+    const Reader site_energy = sites.at(i).member("energy_j");
+    const Reader total = site_energy.member("total");
+    expect_sum(total,
+               site_energy.member("smem").number() +
+                   site_energy.member("l2").number() +
+                   site_energy.member("dram").number(),
+               "its components");
+    attributed += total.number();
   }
-  KSUM_REQUIRE(
-      close_rel(attributed, require_number(energy, "total", "launch"), 1e-9),
-      "per-site energies do not recompose launch.energy_j.total");
+  expect_sum(energy.member("total"), attributed, "the per-site energies");
+}
 
-  const Json& phases = require_member(launch, "phases", Json::Type::kArray,
-                                      "launch");
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    require_member(phases.at(i), "phase", Json::Type::kString, "phase");
-    require_number(phases.at(i), "seconds", "phase");
-    require_member(phases.at(i), "counters", Json::Type::kObject, "phase");
+void validate_profile(const Reader& record) {
+  expect_schema(record, "ksum-prof-v1");
+  expect_positive_dims(record.member("shape"));
+  const Reader launches = record.member("launches");
+  launches.expect(launches.size() > 0, "must not be empty");
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    validate_launch(launches.at(i));
   }
+  validate_energy(record.member("totals").member("energy_j"));
 }
 
 }  // namespace
 
 void validate_profile_json(const Json& record) {
-  const Json& schema = require_member(record, "schema", Json::Type::kString,
-                                      "record");
-  KSUM_REQUIRE(schema.as_string() == "ksum-prof-v1",
-               "unknown profile schema \"" + schema.as_string() + "\"");
-  require_member(record, "program", Json::Type::kString, "record");
-  const Json& shape = require_member(record, "shape", Json::Type::kObject,
-                                     "record");
-  for (const char* key : {"m", "n", "k"}) {
-    KSUM_REQUIRE(require_number(shape, key, "shape") > 0,
-                 "shape dimensions must be positive");
-  }
-  require_member(record, "device", Json::Type::kObject, "record");
-  const Json& launches = require_member(record, "launches",
-                                        Json::Type::kArray, "record");
-  KSUM_REQUIRE(launches.size() > 0, "record has no launches");
-  for (std::size_t i = 0; i < launches.size(); ++i) {
-    validate_launch(launches.at(i));
-  }
-  const Json& totals = require_member(record, "totals", Json::Type::kObject,
-                                      "record");
-  require_number(totals, "seconds", "totals");
-  require_member(totals, "counters", Json::Type::kObject, "totals");
-  validate_energy_object(
-      require_member(totals, "energy_j", Json::Type::kObject, "totals"),
-      "totals.energy_j");
+  validate_profile(Reader(record, "ksum-prof-v1"));
 }
 
 Json batch_profiles_to_json(const std::vector<Json>& programs,
@@ -391,116 +353,139 @@ Json shard_profiles_to_json(const std::string& axis, std::size_t m,
   return record;
 }
 
-void validate_profile_shard_json(const Json& record) {
-  const Json& schema = require_member(record, "schema", Json::Type::kString,
-                                      "record");
-  KSUM_REQUIRE(schema.as_string() == "ksum-prof-shard-v1",
-               "unknown shard schema \"" + schema.as_string() + "\"");
-  const Json& axis = require_member(record, "axis", Json::Type::kString,
-                                    "record");
-  KSUM_REQUIRE(axis.as_string() == "m" || axis.as_string() == "n",
-               "shard record axis must be \"m\" or \"n\"");
-  const Json& shape = require_member(record, "shape", Json::Type::kObject,
-                                     "record");
-  for (const char* key : {"m", "n", "k"}) {
-    KSUM_REQUIRE(require_number(shape, key, "shape") > 0,
-                 "shape dimensions must be positive");
-  }
-  const double dim = shape.at(axis.as_string()).as_double();
-  const Json& shards = require_member(record, "shards", Json::Type::kArray,
-                                      "record");
-  KSUM_REQUIRE(shards.size() > 0, "shard record has no shards");
+void validate_profile_shard_json(const Json& json) {
+  const Reader record(json, "ksum-prof-shard-v1");
+  expect_schema(record, "ksum-prof-shard-v1");
+  const Reader axis = record.member("axis");
+  axis.expect(axis.string() == "m" || axis.string() == "n",
+              "must be \"m\" or \"n\"");
+  const Reader shape = record.member("shape");
+  expect_positive_dims(shape);
+  const Reader shards = record.member("shards");
+  shards.expect(shards.size() > 0, "must not be empty");
   double max_seconds = 0;
   double energy = 0;
   double cursor = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    const Json& shard = shards.at(i);
-    KSUM_REQUIRE(require_number(shard, "index", "shard") == double(i),
-                 "shard indexes must ascend from 0");
-    const double begin = require_number(shard, "begin", "shard");
-    const double end = require_number(shard, "end", "shard");
-    KSUM_REQUIRE(begin == cursor && end > begin,
+    const Reader shard = shards.at(i);
+    shard.member("index").expect(shard.member("index").number() == double(i),
+                                 "shard indexes must ascend from 0");
+    const double begin = shard.member("begin").number();
+    const double end = shard.member("end").number();
+    shard.expect(begin == cursor && end > begin,
                  "shard ranges must tile the axis contiguously");
     cursor = end;
-    const Json& profile = require_member(shard, "profile",
-                                         Json::Type::kObject, "shard");
-    validate_profile_json(profile);
-    const Json& totals = profile.at("totals");
-    max_seconds = std::max(max_seconds, totals.at("seconds").as_double());
-    energy += totals.at("energy_j").at("total").as_double();
+    const Reader profile = shard.member("profile");
+    validate_profile(profile);
+    const Reader totals = profile.member("totals");
+    max_seconds = std::max(max_seconds, totals.member("seconds").number());
+    energy += totals.member("energy_j").member("total").number();
   }
-  KSUM_REQUIRE(cursor == dim,
-               "shard ranges must cover the whole axis dimension");
-  const Json& totals = require_member(record, "totals", Json::Type::kObject,
-                                      "record");
-  KSUM_REQUIRE(close_rel(require_number(totals, "seconds", "totals"),
-                         max_seconds, 1e-9),
-               "shard totals.seconds does not recompose the shards");
-  KSUM_REQUIRE(close_rel(require_number(totals, "energy_j_total", "totals"),
-                         energy, 1e-9),
-               "shard totals.energy_j_total does not recompose the shards");
+  shards.expect(cursor == shape.member(axis.string()).number(),
+                "shard ranges must cover the whole axis dimension");
+  expect_sum(record.member("totals").member("seconds"), max_seconds,
+             "the shards");
+  expect_sum(record.member("totals").member("energy_j_total"), energy,
+             "the shards");
 }
 
-void validate_profile_batch_json(const Json& record) {
-  const Json& schema = require_member(record, "schema", Json::Type::kString,
-                                      "record");
-  KSUM_REQUIRE(schema.as_string() == "ksum-prof-batch-v1",
-               "unknown batch schema \"" + schema.as_string() + "\"");
-  const Json& programs = require_member(record, "programs",
-                                        Json::Type::kArray, "record");
-  KSUM_REQUIRE(programs.size() > 0, "batch record has no programs");
+void validate_profile_batch_json(const Json& json) {
+  const Reader record(json, "ksum-prof-batch-v1");
+  expect_schema(record, "ksum-prof-batch-v1");
+  const Reader programs = record.member("programs");
+  programs.expect(programs.size() > 0, "must not be empty");
   double seconds = 0;
   double energy = 0;
   for (std::size_t i = 0; i < programs.size(); ++i) {
-    validate_profile_json(programs.at(i));
-    const Json& totals = programs.at(i).at("totals");
-    seconds += totals.at("seconds").as_double();
-    energy += totals.at("energy_j").at("total").as_double();
+    validate_profile(programs.at(i));
+    const Reader totals = programs.at(i).member("totals");
+    seconds += totals.member("seconds").number();
+    energy += totals.member("energy_j").member("total").number();
   }
-  const Json& totals = require_member(record, "totals", Json::Type::kObject,
-                                      "record");
-  KSUM_REQUIRE(close_rel(require_number(totals, "seconds", "totals"),
-                         seconds, 1e-9),
-               "batch totals.seconds does not recompose the programs");
-  KSUM_REQUIRE(close_rel(require_number(totals, "energy_j_total", "totals"),
-                         energy, 1e-9),
-               "batch totals.energy_j_total does not recompose the programs");
+  expect_sum(record.member("totals").member("seconds"), seconds,
+             "the programs");
+  expect_sum(record.member("totals").member("energy_j_total"), energy,
+             "the programs");
 }
 
-void validate_bench_json(const Json& record) {
-  const Json& schema = require_member(record, "schema", Json::Type::kString,
-                                      "record");
-  KSUM_REQUIRE(schema.as_string() == "ksum-bench-v1",
-               "unknown bench schema \"" + schema.as_string() + "\"");
-  require_member(record, "bench", Json::Type::kString, "record");
-  const Json& points = require_member(record, "points", Json::Type::kArray,
-                                      "record");
+void validate_bench_json(const Json& json) {
+  const Reader record(json, "ksum-bench-v1");
+  expect_schema(record, "ksum-bench-v1");
+  (void)record.member("bench").string();
+  const Reader points = record.member("points");
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const Json& point = points.at(i);
-    for (const char* key : {"m", "n", "k"}) {
-      KSUM_REQUIRE(require_number(point, key, "point") > 0,
-                   "point dimensions must be positive");
-    }
-    const Json& pipelines = require_member(point, "pipelines",
-                                           Json::Type::kObject, "point");
-    KSUM_REQUIRE(pipelines.size() > 0, "point has no pipelines");
-    for (const auto& member : pipelines.members()) {
-      const Json& pipe = member.second;
-      KSUM_REQUIRE(require_number(pipe, "seconds", "pipeline") >= 0,
-                   "pipeline seconds must be non-negative");
-      validate_energy_object(
-          require_member(pipe, "energy_j", Json::Type::kObject, "pipeline"),
-          "pipeline.energy_j");
-      require_number(pipe, "l2_transactions", "pipeline");
-      require_number(pipe, "dram_transactions", "pipeline");
+    expect_positive_dims(points.at(i));
+    const Reader pipelines = points.at(i).member("pipelines");
+    pipelines.expect(pipelines.object().size() > 0, "must not be empty");
+    for (const auto& [name, value] : pipelines.object().members()) {
+      const Reader seconds = pipelines.member(name).member("seconds");
+      seconds.expect(seconds.number() >= 0, "must be non-negative");
+      validate_energy(pipelines.member(name).member("energy_j"));
     }
   }
-  const Json& tables = require_member(record, "tables", Json::Type::kArray,
-                                      "record");
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    require_member(tables.at(i), "name", Json::Type::kString, "table");
-    require_member(tables.at(i), "csv", Json::Type::kString, "table");
+}
+
+Json tree_profile_to_json(const TreeProfile& tree) {
+  Json record = Json::object();
+  record.set("schema", "ksum-prof-tree-v1");
+  record.set("shape", Json::object()
+                          .set("m", std::uint64_t(tree.m))
+                          .set("n", std::uint64_t(tree.n))
+                          .set("k", std::uint64_t(tree.k)));
+  record.set("eps", tree.eps);
+  record.set("device", Json::object().set("name", tree.device_name));
+  const double total_interactions =
+      static_cast<double>(tree.m) * static_cast<double>(tree.n);
+  record.set("plan",
+             Json::object()
+                 .set("row_clusters", std::uint64_t(tree.row_clusters))
+                 .set("boxes", std::uint64_t(tree.boxes))
+                 .set("near_pairs", std::uint64_t(tree.near_pairs))
+                 .set("far0_pairs", std::uint64_t(tree.far0_pairs))
+                 .set("far1_pairs", std::uint64_t(tree.far1_pairs))
+                 .set("near_interactions", tree.near_interactions)
+                 .set("near_fraction",
+                      tree.near_interactions / total_interactions)
+                 .set("budget", tree.budget)
+                 .set("bound_total", tree.bound_total));
+  record.set("model",
+             Json::object()
+                 .set("dense_seconds", tree.dense_seconds)
+                 .set("tree_seconds", tree.tree_seconds)
+                 .set("speedup", tree.dense_seconds / tree.tree_seconds));
+  return record;
+}
+
+void validate_profile_tree_json(const Json& json) {
+  const Reader record(json, "ksum-prof-tree-v1");
+  expect_schema(record, "ksum-prof-tree-v1");
+  expect_positive_dims(record.member("shape"));
+  const Reader eps = record.member("eps");
+  eps.expect(eps.number() > 0, "must be positive");
+
+  const Reader plan = record.member("plan");
+  for (const char* key : {"row_clusters", "boxes", "near_pairs",
+                          "near_interactions"}) {
+    (void)plan.member(key).integer<std::uint64_t>();
   }
+  const auto far_pairs = plan.member("far0_pairs").integer<std::uint64_t>() +
+                         plan.member("far1_pairs").integer<std::uint64_t>();
+  const Reader near_fraction = plan.member("near_fraction");
+  near_fraction.expect(
+      near_fraction.number() >= 0 && near_fraction.number() <= 1,
+      "must be in [0, 1]");
+  // The plan-wide guarantee (docs/TREECODE.md): whenever a far pair is
+  // approximated, the analytic bound stays within the error budget.
+  const Reader bound = plan.member("bound_total");
+  bound.expect(far_pairs == 0 || bound.number() <= eps.number(),
+               "exceeds eps although far pairs exist");
+
+  const Reader model = record.member("model");
+  const Reader speedup = model.member("speedup");
+  speedup.expect(speedup.number() ==
+                     model.member("dense_seconds").number() /
+                         model.member("tree_seconds").number(),
+                 "does not equal dense_seconds / tree_seconds");
 }
 
 }  // namespace ksum::profile

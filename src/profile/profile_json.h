@@ -28,11 +28,12 @@
 //                    comparisons>"
 //   }
 //
-// validate_profile_json() is the schema's executable definition: it checks
-// structure and that every launch's per-site energies (+ residual + the
-// compute/static pseudo-buckets) recompose the aggregate within 1e-9
-// relative tolerance. validate_bench_json() does the same for the
-// "ksum-bench-v1" records bench/ emits.
+// validate_profile_json() checks the record's invariants: the schema tag,
+// positive shape, at least one launch, and that every launch's per-site
+// energies (+ residual + the compute/static pseudo-buckets) and every
+// energy object's parts recompose their totals within 1e-9 relative
+// tolerance. validate_bench_json() does the same for the "ksum-bench-v1"
+// records bench/ emits.
 #pragma once
 
 #include <string>
@@ -127,7 +128,28 @@ Json shard_profiles_to_json(const std::string& axis, std::size_t m,
                             const std::vector<ShardProfileEntry>& shards,
                             const std::string& timestamp = "");
 
-/// Throws ksum::Error describing the first violation; returns normally on a
+/// A treecode interaction plan at one error budget and its modelled price
+/// (ksum-prof --tree-eps; no solve runs).
+struct TreeProfile {
+  std::size_t m = 0, n = 0, k = 0;
+  double eps = 0;
+  std::string device_name;
+  std::size_t row_clusters = 0, boxes = 0;
+  std::size_t near_pairs = 0, far0_pairs = 0, far1_pairs = 0;
+  double near_interactions = 0, budget = 0, bound_total = 0;
+  double dense_seconds = 0, tree_seconds = 0;
+};
+
+/// Serialises to "ksum-prof-tree-v1": {"schema", "shape":{m,n,k}, "eps",
+/// "device":{"name"}, "plan":{row_clusters, boxes, near_pairs, far0_pairs,
+/// far1_pairs, near_interactions, near_fraction = near_interactions/(m·n),
+/// budget, bound_total}, "model":{dense_seconds, tree_seconds, speedup =
+/// dense/tree}}.
+Json tree_profile_to_json(const TreeProfile& tree);
+
+/// Every validator reads through profile::Reader (profile/record.h), so a
+/// rejection names the schema and the path of the offending field. Each
+/// throws ksum::Error on the first violation and returns normally on a
 /// well-formed record.
 void validate_profile_json(const Json& record);
 /// Validates a ksum-prof-shard-v1 record: the axis must be "m" or "n", the
@@ -139,5 +161,9 @@ void validate_profile_shard_json(const Json& record);
 /// validate, and the batch totals must recompose the per-program totals.
 void validate_profile_batch_json(const Json& record);
 void validate_bench_json(const Json& record);
+/// Validates a ksum-prof-tree-v1 record: the counts are non-negative
+/// integers, near_fraction is in [0, 1], speedup equals dense_seconds /
+/// tree_seconds, and bound_total <= eps whenever a far pair exists.
+void validate_profile_tree_json(const Json& record);
 
 }  // namespace ksum::profile

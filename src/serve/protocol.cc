@@ -1,12 +1,11 @@
 #include "serve/protocol.h"
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "common/error.h"
 #include "profile/json.h"
+#include "profile/record.h"
 
 namespace ksum::serve {
 
@@ -31,73 +30,20 @@ std::uint64_t fnv1a64_string(std::string_view text) {
   return h;
 }
 
-pipelines::Backend parse_backend(const std::string& name) {
+pipelines::Backend parse_backend(const profile::Reader& value) {
   using pipelines::Backend;
+  const std::string& name = value.string();
   if (name == "sim-fused") return Backend::kSimFused;
   if (name == "sim-cuda-unfused") return Backend::kSimCudaUnfused;
   if (name == "sim-cublas-unfused") return Backend::kSimCublasUnfused;
   if (name == "cpu-direct") return Backend::kCpuDirect;
   if (name == "cpu-expansion") return Backend::kCpuExpansion;
-  throw Error("serve: unknown backend '" + name + "'");
+  value.fail("unknown backend '" + name + "'");
 }
 
-// Field accessors over the parsed request object, with type errors rewritten
-// to name the field (the parser's own messages only carry byte offsets).
-double number_field(const Json& doc, std::string_view key, double fallback) {
-  const Json* value = doc.find(key);
-  if (value == nullptr) return fallback;
-  KSUM_REQUIRE(value->is_number(),
-               "serve: field '" + std::string(key) + "' must be a number");
-  return value->as_double();
-}
-
-// Exclusive upper bound for a double that can be cast to uint64_t: 2^64.
-// The double→integer conversion itself is UB when the value is out of range
-// (or NaN), so every bound check below must run on the double first.
-constexpr double kU64Bound = 18446744073709551616.0;
-
-bool is_u64_representable(double v) {
-  return v >= 0 && v < kU64Bound && std::trunc(v) == v;
-}
-
-std::size_t size_field(const Json& doc, std::string_view key) {
-  const Json* value = doc.find(key);
-  KSUM_REQUIRE(value != nullptr,
-               "serve: solve request missing '" + std::string(key) + "'");
-  KSUM_REQUIRE(value->is_number(),
-               "serve: field '" + std::string(key) + "' must be a number");
-  const double v = value->as_double();
-  KSUM_REQUIRE(v >= 1 && is_u64_representable(v) &&
-                   v <= double(std::numeric_limits<std::size_t>::max()),
-               "serve: field '" + std::string(key) +
-                   "' must be a positive integer");
-  return static_cast<std::size_t>(v);
-}
-
-std::uint64_t u64_field(const Json& doc, std::string_view key,
-                        std::uint64_t fallback) {
-  const Json* value = doc.find(key);
-  if (value == nullptr) return fallback;
-  KSUM_REQUIRE(value->is_number(),
-               "serve: field '" + std::string(key) + "' must be a number");
-  const double v = value->as_double();
-  KSUM_REQUIRE(is_u64_representable(v),
-               "serve: field '" + std::string(key) +
-                   "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(v);
-}
-
-bool bool_field(const Json& doc, std::string_view key, bool fallback) {
-  const Json* value = doc.find(key);
-  if (value == nullptr) return fallback;
-  KSUM_REQUIRE(value->is_bool(),
-               "serve: field '" + std::string(key) + "' must be a boolean");
-  return value->as_bool();
-}
-
-}  // namespace
-
-ServeRequest parse_request(const std::string& line) {
+// Fills `request` field by field, so request.id is set as soon as it has
+// parsed and parse_request can echo it on any later rejection.
+void parse_into(const std::string& line, ServeRequest& request) {
   Json doc;
   try {
     doc = Json::parse(line);
@@ -105,54 +51,56 @@ ServeRequest parse_request(const std::string& line) {
     throw Error(std::string("serve: malformed request JSON: ") + e.what());
   }
   KSUM_REQUIRE(doc.is_object(), "serve: request must be a JSON object");
+  const profile::Reader r(doc, "serve");
 
-  ServeRequest request;
-  if (const Json* id = doc.find("id"); id != nullptr) {
-    if (id->is_string()) {
-      request.id = id->as_string();
-    } else if (id->is_number()) {
-      request.id = profile::json_number(id->as_double());
+  if (const auto id = r.find("id")) {
+    if (id->json().is_number()) {
+      request.id = profile::json_number(id->number());
     } else {
-      throw Error("serve: field 'id' must be a string or number");
+      id->expect(id->json().is_string(), "must be a string or number");
+      request.id = id->string();
     }
   }
 
-  std::string op = "solve";
-  if (const Json* op_field = doc.find("op"); op_field != nullptr) {
-    KSUM_REQUIRE(op_field->is_string(), "serve: field 'op' must be a string");
-    op = op_field->as_string();
+  const auto op = r.find("op");
+  const std::string_view name = op ? std::string_view(op->string()) : "solve";
+  if (name == "health" || name == "stats") {
+    request.op = name == "health" ? Op::kHealth : Op::kStats;
+    return;
   }
-  if (op == "health") {
-    request.op = Op::kHealth;
-    return request;
-  }
-  if (op == "stats") {
-    request.op = Op::kStats;
-    return request;
-  }
-  KSUM_REQUIRE(op == "solve", "serve: unknown op '" + op + "'");
+  if (name != "solve") op->fail("unknown op '" + std::string(name) + "'");
   request.op = Op::kSolve;
 
-  request.spec.m = size_field(doc, "m");
-  request.spec.n = size_field(doc, "n");
-  request.spec.k = size_field(doc, "k");
-  request.spec.seed = u64_field(doc, "seed", 42);
-  const double h = number_field(doc, "h", 1.0);
-  KSUM_REQUIRE(h > 0, "serve: field 'h' must be positive");
+  request.spec.m = r.member("m").integer<std::size_t>(1);
+  request.spec.n = r.member("n").integer<std::size_t>(1);
+  request.spec.k = r.member("k").integer<std::size_t>(1);
+  request.spec.seed = r.value_or<std::uint64_t>("seed", 42);
+  const double h = r.value_or("h", 1.0);
+  if (!(h > 0)) r.member("h").fail("must be positive");
   request.spec.bandwidth = static_cast<float>(h);
 
-  if (const Json* backend = doc.find("backend"); backend != nullptr) {
-    KSUM_REQUIRE(backend->is_string(),
-                 "serve: field 'backend' must be a string");
-    request.backend = parse_backend(backend->as_string());
+  if (const auto backend = r.find("backend")) {
+    request.backend = parse_backend(*backend);
   }
-  request.robust = bool_field(doc, "robust", true);
-  request.verify = bool_field(doc, "verify", false);
-  request.deadline_ms = number_field(doc, "deadline_ms", -1);
-  request.fault_rate = number_field(doc, "fault_rate", 0);
-  KSUM_REQUIRE(request.fault_rate >= 0 && request.fault_rate <= 1,
-               "serve: field 'fault_rate' must be in [0, 1]");
-  request.fault_seed = u64_field(doc, "fault_seed", 0);
+  request.robust = r.value_or("robust", true);
+  request.verify = r.value_or("verify", false);
+  request.deadline_ms = r.value_or("deadline_ms", -1.0);
+  request.fault_rate = r.value_or("fault_rate", 0.0);
+  if (!(request.fault_rate >= 0 && request.fault_rate <= 1)) {
+    r.member("fault_rate").fail("must be in [0, 1]");
+  }
+  request.fault_seed = r.value_or<std::uint64_t>("fault_seed", 0);
+}
+
+}  // namespace
+
+ServeRequest parse_request(const std::string& line) {
+  ServeRequest request;
+  try {
+    parse_into(line, request);
+  } catch (const Error& e) {
+    throw RequestError(e.what(), request.id);
+  }
   return request;
 }
 

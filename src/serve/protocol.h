@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 
+#include "common/error.h"
 #include "common/status.h"
 #include "pipelines/solver.h"
 #include "workload/problem_spec.h"
@@ -50,7 +52,15 @@ struct ServeRequest {
   std::uint64_t fault_seed = 0;
 };
 
-/// Parses one request line. Throws ksum::Error on malformed JSON, unknown
+/// What parse_request throws: `id` is the request's id when it parsed
+/// ("" otherwise), so the `invalid` reply still correlates by id.
+struct RequestError : Error {
+  RequestError(const std::string& what, std::string request_id)
+      : Error(what), id(std::move(request_id)) {}
+  std::string id;
+};
+
+/// Parses one request line. Throws RequestError on malformed JSON, unknown
 /// op/backend, missing solve dimensions, or out-of-range fields — the server
 /// turns that into an immediate `invalid` reply. Admission bounds (max
 /// shape) are the server's to enforce, not the parser's.

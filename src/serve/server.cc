@@ -114,11 +114,11 @@ void Server::handle_line(const std::string& line) {
   ServeRequest request;
   try {
     request = parse_request(line);
-  } catch (const Error& e) {
-    // The id may be unparseable too; reply with an empty id so the client
-    // can at least count invalids.
+  } catch (const RequestError& e) {
+    // Echo the id when it parsed; a line whose id is unreadable gets "" so
+    // the client can at least count invalids.
     stats_.record_status(StatusCode::kInvalid);
-    reply(error_reply("", StatusCode::kInvalid, e.what()));
+    reply(error_reply(e.id, StatusCode::kInvalid, e.what()));
     return;
   }
   if (request.id.empty()) {

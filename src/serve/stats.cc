@@ -5,12 +5,18 @@
 #include <iterator>
 
 #include "common/error.h"
+#include "profile/record.h"
 
 namespace ksum::serve {
 
 namespace {
 
 using profile::Json;
+
+constexpr StatusCode kAllStatuses[] = {
+    StatusCode::kOk,         StatusCode::kInvalid,
+    StatusCode::kTimeout,    StatusCode::kOverloaded,
+    StatusCode::kFaultUnrecovered, StatusCode::kInternal};
 
 LatencySummary summarise(std::vector<double> sample) {
   LatencySummary out;
@@ -39,16 +45,12 @@ Json summary_to_json(const LatencySummary& summary) {
   return j;
 }
 
-void validate_summary(const Json& j, const char* which) {
-  for (const char* key : {"count", "p50", "p90", "p99", "max"}) {
-    KSUM_REQUIRE(j.has(key) && j.at(key).is_number(),
-                 std::string("ksum-serve-v1: latency_ms.") + which +
-                     " missing numeric '" + key + "'");
-  }
-  KSUM_REQUIRE(j.at("p50").as_double() <= j.at("p99").as_double() &&
-                   j.at("p99").as_double() <= j.at("max").as_double(),
-               std::string("ksum-serve-v1: latency_ms.") + which +
-                   " percentiles out of order");
+void validate_summary(const profile::Reader& summary) {
+  summary.expect(summary.member("p50").number() <=
+                         summary.member("p99").number() &&
+                     summary.member("p99").number() <=
+                         summary.member("max").number(),
+                 "percentiles out of order");
 }
 
 }  // namespace
@@ -89,10 +91,6 @@ Json ServeStats::to_json(int workers, std::size_t queue_capacity,
   // Load each status cell once and report completed as their sum: the
   // emitted record is then self-consistent by construction, which the
   // schema validator requires.
-  constexpr StatusCode kAllStatuses[] = {
-      StatusCode::kOk,         StatusCode::kInvalid,
-      StatusCode::kTimeout,    StatusCode::kOverloaded,
-      StatusCode::kFaultUnrecovered, StatusCode::kInternal};
   std::uint64_t snapshot[std::size(kAllStatuses)] = {};
   std::uint64_t status_total = 0;
   for (std::size_t i = 0; i < std::size(kAllStatuses); ++i) {
@@ -122,47 +120,24 @@ Json ServeStats::to_json(int workers, std::size_t queue_capacity,
   return record;
 }
 
-void validate_serve_json(const Json& record) {
-  KSUM_REQUIRE(record.is_object(), "ksum-serve-v1: record must be an object");
-  KSUM_REQUIRE(record.has("schema") && record.at("schema").is_string() &&
-                   record.at("schema").as_string() == "ksum-serve-v1",
-               "ksum-serve-v1: missing schema tag");
-  for (const char* key : {"workers", "queue_capacity", "queue_depth",
-                          "in_flight"}) {
-    KSUM_REQUIRE(record.has(key) && record.at(key).is_number(),
-                 std::string("ksum-serve-v1: missing numeric '") + key + "'");
-  }
-
-  KSUM_REQUIRE(record.has("counters") && record.at("counters").is_object(),
-               "ksum-serve-v1: missing counters object");
-  const Json& counters = record.at("counters");
-  for (const char* key :
-       {"received", "accepted", "completed", "ok", "invalid", "timeout",
-        "overloaded", "fault_unrecovered", "internal", "shed", "retries",
-        "degraded", "faults_detected"}) {
-    KSUM_REQUIRE(counters.has(key) && counters.at(key).is_number(),
-                 std::string("ksum-serve-v1: counters missing '") + key +
-                     "'");
-  }
-  KSUM_REQUIRE(counters.at("shed").as_double() ==
-                   counters.at("overloaded").as_double(),
-               "ksum-serve-v1: shed must equal overloaded");
+void validate_serve_json(const Json& json) {
+  const profile::Reader record(json, "ksum-serve-v1");
+  const profile::Reader schema = record.member("schema");
+  schema.expect(schema.string() == "ksum-serve-v1",
+                "must be \"ksum-serve-v1\"");
+  const profile::Reader counters = record.member("counters");
+  counters.expect(counters.member("shed").number() ==
+                      counters.member("overloaded").number(),
+                  "shed must equal overloaded");
   double by_status_total = 0;
-  for (const char* key : {"ok", "invalid", "timeout", "overloaded",
-                          "fault_unrecovered", "internal"}) {
-    by_status_total += counters.at(key).as_double();
+  for (const StatusCode status : kAllStatuses) {
+    by_status_total += counters.member(to_string(status)).number();
   }
-  KSUM_REQUIRE(by_status_total == counters.at("completed").as_double(),
-               "ksum-serve-v1: per-status counts must sum to completed");
-
-  KSUM_REQUIRE(record.has("latency_ms") &&
-                   record.at("latency_ms").is_object(),
-               "ksum-serve-v1: missing latency_ms object");
-  const Json& latency = record.at("latency_ms");
-  KSUM_REQUIRE(latency.has("modelled") && latency.has("wall"),
-               "ksum-serve-v1: latency_ms needs modelled and wall");
-  validate_summary(latency.at("modelled"), "modelled");
-  validate_summary(latency.at("wall"), "wall");
+  counters.expect(by_status_total == counters.member("completed").number(),
+                  "per-status counts must sum to completed");
+  const profile::Reader latency = record.member("latency_ms");
+  validate_summary(latency.member("modelled"));
+  validate_summary(latency.member("wall"));
 }
 
 }  // namespace ksum::serve

@@ -69,6 +69,7 @@
 #include "profile/energy_attribution.h"
 #include "profile/launch_profiler.h"
 #include "profile/profile_json.h"
+#include "profile/record.h"
 #include "profile/trace_export.h"
 #include "shard/plan.h"
 #include "shard/runner.h"
@@ -361,14 +362,8 @@ int run_shard_prof(const FlagParser& flags, const pipelines::RunOptions& run,
 /// TREECODE.md) at a fixed far-field-friendly shape (512×2048, K=2,
 /// h=0.05) and prices both sides of the near/far split against the active
 /// device profile — no solve runs; the record is a pure function of
-/// (eps, leaf sizes, profile). Emitted as a ksum-prof-tree-v1 document:
-///
-///   {"schema":"ksum-prof-tree-v1", "shape":{...}, "eps":E,
-///    "device":{"name":...},
-///    "plan":{"row_clusters","boxes","near_pairs","far0_pairs",
-///            "far1_pairs","near_interactions","near_fraction",
-///            "budget","bound_total"},
-///    "model":{"dense_seconds","tree_seconds","speedup"}}
+/// (eps, leaf sizes, profile). Emitted as a ksum-prof-tree-v1 document
+/// (profile/profile_json.h).
 int run_tree_prof(const FlagParser& flags, const pipelines::RunOptions& run,
                   const config::profiles::DeviceProfile& dev) {
   const double eps = run.tree.eps;
@@ -399,37 +394,24 @@ int run_tree_prof(const FlagParser& flags, const pipelines::RunOptions& run,
   const double total_interactions =
       static_cast<double>(spec.m) * static_cast<double>(spec.n);
 
-  profile::Json record = profile::Json::object();
-  record.set("schema", "ksum-prof-tree-v1");
-  record.set("shape", profile::Json::object()
-                          .set("m", static_cast<std::uint64_t>(spec.m))
-                          .set("n", static_cast<std::uint64_t>(spec.n))
-                          .set("k", static_cast<std::uint64_t>(spec.k)));
-  record.set("eps", eps);
-  record.set("device", profile::Json::object().set("name", dev.name));
-  record.set(
-      "plan",
-      profile::Json::object()
-          .set("row_clusters",
-               static_cast<std::uint64_t>(plan.rows.size()))
-          .set("boxes", static_cast<std::uint64_t>(plan.boxes.size()))
-          .set("near_pairs", static_cast<std::uint64_t>(plan.near_pairs))
-          .set("far0_pairs", static_cast<std::uint64_t>(plan.far0_pairs))
-          .set("far1_pairs", static_cast<std::uint64_t>(plan.far1_pairs))
-          .set("near_interactions", plan.near_interactions)
-          .set("near_fraction", plan.near_interactions / total_interactions)
-          .set("budget", plan.budget)
-          .set("bound_total", plan.bound_total));
-  record.set("model", profile::Json::object()
-                          .set("dense_seconds", dense_seconds)
-                          .set("tree_seconds", tree_seconds)
-                          .set("speedup", dense_seconds / tree_seconds));
-  // Self-check mirroring the other modes: the record must carry the plan
-  // invariant the docs promise (bound_total ≤ eps whenever a far pair
-  // exists).
-  if (plan.has_far_pair() && !(plan.bound_total <= eps)) {
-    throw InternalError("emitted tree record violates bound_total <= eps");
-  }
+  const profile::Json record = self_checked(
+      profile::tree_profile_to_json({.m = spec.m,
+                                     .n = spec.n,
+                                     .k = spec.k,
+                                     .eps = eps,
+                                     .device_name = dev.name,
+                                     .row_clusters = plan.rows.size(),
+                                     .boxes = plan.boxes.size(),
+                                     .near_pairs = plan.near_pairs,
+                                     .far0_pairs = plan.far0_pairs,
+                                     .far1_pairs = plan.far1_pairs,
+                                     .near_interactions =
+                                         plan.near_interactions,
+                                     .budget = plan.budget,
+                                     .bound_total = plan.bound_total,
+                                     .dense_seconds = dense_seconds,
+                                     .tree_seconds = tree_seconds}),
+      profile::validate_profile_tree_json);
 
   if (tools::emit_json(flags, record, "ksum-prof", "tree record")) return 0;
   std::printf("treecode plan %zux%zu K=%zu, eps=%g, %s profile\n", spec.m,
@@ -553,7 +535,7 @@ int cmd_prof(int argc, const char* const* argv) {
   if (flags.has("trace")) {
     const std::string path = flags.get_string("trace", "");
     KSUM_REQUIRE(!path.empty(), "--trace needs a file path");
-    tools::write_file(path, profile::trace_events_json(prof).dump());
+    profile::write_file(path, profile::trace_events_json(prof).dump());
     std::fprintf(stderr, "ksum-prof: wrote trace to %s\n", path.c_str());
   }
   if (!tools::emit_json(flags, record, "ksum-prof", "record")) {

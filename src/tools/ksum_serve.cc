@@ -38,10 +38,10 @@
 //
 // Exit codes: 0 clean drain; 2 invalid usage (ksum::Error); 3 internal bug.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "common/error.h"
+#include "profile/record.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "tools/tool_flags.h"
@@ -143,11 +143,7 @@ int cmd_serve(int argc, const char* const* argv) {
                counters.at("degraded").as_double());
 
   const std::string stats_path = flags.get_string("stats-json", "");
-  if (!stats_path.empty()) {
-    std::ofstream out(stats_path);
-    if (!out) throw Error("cannot write stats file: " + stats_path);
-    out << final_stats.dump();
-  }
+  if (!stats_path.empty()) profile::write_file(stats_path, final_stats.dump());
   return 0;
 }
 

@@ -3,12 +3,12 @@
 #include <charconv>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <utility>
 
 #include "analytic/dense_cost.h"
 #include "common/error.h"
 #include "exec/thread_pool.h"
+#include "profile/record.h"
 
 namespace ksum::tools {
 
@@ -254,20 +254,13 @@ bool emit_json(const FlagParser& flags, const profile::Json& record,
   if (flags.has("json-out")) {
     const std::string path = flags.get_string("json-out", "");
     KSUM_REQUIRE(!path.empty(), "--json-out needs a file path");
-    write_file(path, record.dump());
+    profile::write_file(path, record.dump());
     std::fprintf(stderr, "%s: wrote %s to %s\n", tool, what.c_str(),
                  path.c_str());
   }
   if (!flags.get_bool("json")) return false;
   std::printf("%s", record.dump().c_str());
   return true;
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open " + path + " for writing");
-  out << text;
-  KSUM_CHECK_MSG(static_cast<bool>(out), "write to " + path + " failed");
 }
 
 }  // namespace ksum::tools

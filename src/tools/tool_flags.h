@@ -112,7 +112,4 @@ void check_json_flags(const FlagParser& flags, const std::string& usage);
 bool emit_json(const FlagParser& flags, const profile::Json& record,
                const char* tool, const std::string& what);
 
-/// Writes `text` to `path`; ksum::Error when it cannot be opened.
-void write_file(const std::string& path, const std::string& text);
-
 }  // namespace ksum::tools

@@ -1,6 +1,7 @@
 #include "tune/tune_json.h"
 
 #include "common/error.h"
+#include "profile/record.h"
 
 namespace ksum::tune {
 
@@ -8,107 +9,106 @@ using profile::Json;
 
 namespace {
 
-void set_geometry_fields(Json& obj, const gpukernels::TileGeometry& g) {
+using gpukernels::TileGeometry;
+using profile::Reader;
+
+constexpr char kSchema[] = "ksum-tune-v1";
+
+constexpr profile::Field<TileGeometry> kGeometryFields[] = {
+    {"tile_m", &TileGeometry::tile_m},   {"tile_n", &TileGeometry::tile_n},
+    {"tile_k", &TileGeometry::tile_k},   {"block_x", &TileGeometry::block_x},
+    {"block_y", &TileGeometry::block_y}, {"micro", &TileGeometry::micro},
+};
+
+// A tune record names each geometry by its to_string() ahead of the fields.
+void write_geometry(Json& obj, const TileGeometry& g) {
   obj.set("geometry", g.to_string());
-  obj.set("tile_m", g.tile_m);
-  obj.set("tile_n", g.tile_n);
-  obj.set("tile_k", g.tile_k);
-  obj.set("block_x", g.block_x);
-  obj.set("block_y", g.block_y);
-  obj.set("micro", g.micro);
+  profile::write(obj, g, kGeometryFields);
 }
 
-gpukernels::TileGeometry geometry_from_json(const Json& obj) {
-  gpukernels::TileGeometry g;
-  g.tile_m = static_cast<int>(obj.at("tile_m").as_double());
-  g.tile_n = static_cast<int>(obj.at("tile_n").as_double());
-  g.tile_k = static_cast<int>(obj.at("tile_k").as_double());
-  g.block_x = static_cast<int>(obj.at("block_x").as_double());
-  g.block_y = static_cast<int>(obj.at("block_y").as_double());
-  g.micro = static_cast<int>(obj.at("micro").as_double());
+TileGeometry read_geometry(const Reader& obj) {
+  TileGeometry g;
+  profile::read(obj, g, kGeometryFields);
   return g;
 }
 
-void check(bool cond, const std::string& what) {
-  if (!cond) throw Error("ksum-tune-v1: " + what);
-}
-
 // `measured` is false for grid (unmeasured) records.
-void validate_candidate(const Json& c, bool measured) {
-  check(c.at("geometry").is_string(), "candidate geometry must be a string");
-  const auto g = geometry_from_json(c);
-  check(g.to_string() == c.at("geometry").as_string(),
-        "candidate geometry string does not match its fields");
-  const bool viable = c.at("viable").as_bool();
-  const auto& reasons = c.at("reasons");
-  check(reasons.is_array(), "reasons must be an array");
-  check(viable == (reasons.size() == 0),
-        "a candidate must carry reasons exactly when it is not viable");
-  for (const auto& r : reasons.items()) {
-    check(r.is_string() && !r.as_string().empty(),
-          "every reason must be a non-empty string");
+void validate_candidate(const Reader& c, bool measured) {
+  const Reader name = c.member("geometry");
+  name.expect(read_geometry(c).to_string() == name.string(),
+              "does not match the geometry fields");
+  const bool viable = c.member("viable").boolean();
+  const Reader reasons = c.member("reasons");
+  reasons.expect(viable == (reasons.size() == 0),
+                 "must be non-empty exactly when the candidate is not viable");
+  for (std::size_t i = 0; i < reasons.size(); ++i) {
+    reasons.at(i).expect(!reasons.at(i).string().empty(),
+                         "must be a non-empty string");
   }
   if (viable) {
-    check(c.at("blocks_per_sm").as_double() >= 1,
-          "a viable candidate must fit at least one CTA per SM");
-    check(c.at("bank_conflicts").as_double() == 0,
-          "a viable candidate must stage conflict-free");
+    const Reader blocks = c.member("blocks_per_sm");
+    blocks.expect(blocks.number() >= 1,
+                  "a viable candidate must fit at least one CTA per SM");
+    const Reader conflicts = c.member("bank_conflicts");
+    conflicts.expect(conflicts.number() == 0,
+                     "a viable candidate must stage conflict-free");
   }
   if (!measured) return;
-  const bool executed = c.at("executed").as_bool();
-  check(executed == viable, "exactly the viable candidates execute");
-  if (executed) {
-    check(c.at("scaled_seconds").as_double() > 0,
-          "an executed candidate must carry positive modelled seconds");
+  const Reader executed = c.member("executed");
+  executed.expect(executed.boolean() == viable,
+                  "exactly the viable candidates execute");
+  if (viable) {
+    const Reader seconds = c.member("scaled_seconds");
+    seconds.expect(seconds.number() > 0,
+                   "an executed candidate must carry positive modelled "
+                   "seconds");
   }
 }
 
-void validate_tune(const Json& t) {
-  const auto& shape = t.at("shape");
-  check(shape.at("m").as_double() > 0 && shape.at("n").as_double() > 0 &&
-            shape.at("k").as_double() > 0,
-        "tune shape must be positive");
-  check(!t.at("backend").as_string().empty(), "tune backend must be named");
-  const auto& candidates = t.at("candidates");
-  check(candidates.is_array() && candidates.size() > 0,
-        "a tune must carry its candidate grid");
+void validate_tune(const Reader& t) {
+  const Reader shape = t.member("shape");
+  for (const char* key : {"m", "n", "k"}) {
+    shape.member(key).expect(shape.member(key).number() > 0,
+                             "must be positive");
+  }
+  const Reader backend = t.member("backend");
+  backend.expect(!backend.string().empty(), "must name the backend");
+  const Reader candidates = t.member("candidates");
+  candidates.expect(candidates.size() > 0, "must not be empty");
 
-  // Re-derive the winner: minimum scaled seconds among the executed
-  // candidates, ties to the paper geometry then to_string order — the
-  // tuner's own rule, recomputed from the record's measurements.
-  const Json* best = nullptr;
-  for (const auto& c : candidates.items()) {
+  // Re-derive the winner by the tuner's own order from the record's
+  // measurements.
+  bool found = false;
+  TileGeometry best;
+  double best_seconds = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const Reader c = candidates.at(i);
     validate_candidate(c, /*measured=*/true);
-    if (!c.at("executed").as_bool()) continue;
-    if (best == nullptr || c.at("scaled_seconds").as_double() <
-                               (*best).at("scaled_seconds").as_double()) {
-      best = &c;
-      continue;
-    }
-    if (c.at("scaled_seconds").as_double() ==
-        (*best).at("scaled_seconds").as_double()) {
-      const auto bg = geometry_from_json(*best);
-      const auto cg = geometry_from_json(c);
-      if (!bg.is_paper() &&
-          (cg.is_paper() || cg.to_string() < bg.to_string())) {
-        best = &c;
-      }
+    if (!c.member("executed").boolean()) continue;
+    const double seconds = c.member("scaled_seconds").number();
+    const TileGeometry g = read_geometry(c);
+    if (!found || ranks_before(seconds, g, best_seconds, best)) {
+      found = true;
+      best = g;
+      best_seconds = seconds;
     }
   }
-  check(best != nullptr, "a tune must have at least one executed candidate");
-  const auto& recorded = t.at("best");
-  check(geometry_from_json(recorded) == geometry_from_json(*best),
-        "recorded best does not recompose from the measurements");
-  check(t.at("best_scaled_seconds").as_double() ==
-            (*best).at("scaled_seconds").as_double(),
-        "best_scaled_seconds does not match the winning candidate");
+  candidates.expect(found, "a tune must have at least one executed candidate");
+  const Reader recorded = t.member("best");
+  recorded.expect(read_geometry(recorded) == best,
+                  "does not recompose from the measurements");
+  const Reader recorded_seconds = t.member("best_scaled_seconds");
+  recorded_seconds.expect(recorded_seconds.number() == best_seconds,
+                          "does not match the winning candidate");
 }
 
 }  // namespace
 
+profile::Fields<TileGeometry> geometry_fields() { return kGeometryFields; }
+
 Json verdict_to_json(const CandidateVerdict& verdict) {
   Json c = Json::object();
-  set_geometry_fields(c, verdict.geometry);
+  write_geometry(c, verdict.geometry);
   c.set("viable", verdict.viable);
   Json reasons = Json::array();
   for (const auto& r : verdict.reasons) reasons.push_back(r);
@@ -137,7 +137,7 @@ Json tune_report_to_json(const TuneReport& report) {
   t.set("shape", std::move(shape));
   t.set("backend", pipelines::to_string(report.request.backend));
   Json best = Json::object();
-  set_geometry_fields(best, report.best);
+  write_geometry(best, report.best);
   t.set("best", std::move(best));
   t.set("best_scaled_seconds", report.best_scaled_seconds);
   Json candidates = Json::array();
@@ -176,26 +176,24 @@ Json tune_record(const std::string& command,
   return record;
 }
 
-void validate_tune_json(const Json& record) {
-  check(record.is_object(), "record must be an object");
-  check(record.at("schema").as_string() == "ksum-tune-v1",
-        "schema must be ksum-tune-v1");
-  const std::string command = record.at("command").as_string();
-  if (command == "list" || command == "prune") {
-    const auto& candidates = record.at("candidates");
-    check(candidates.is_array() && candidates.size() > 0,
-          "a grid record must carry candidates");
-    for (const auto& c : candidates.items()) {
-      validate_candidate(c, /*measured=*/false);
+void validate_tune_json(const Json& json) {
+  const Reader record(json, kSchema);
+  const Reader schema = record.member("schema");
+  schema.expect(schema.string() == kSchema, "must be \"ksum-tune-v1\"");
+  const Reader command = record.member("command");
+  if (command.string() == "list" || command.string() == "prune") {
+    const Reader candidates = record.member("candidates");
+    candidates.expect(candidates.size() > 0, "must not be empty");
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      validate_candidate(candidates.at(i), /*measured=*/false);
     }
     return;
   }
-  check(command == "best" || command == "sweep",
-        "command must be list, prune, best, or sweep");
-  const auto& tunes = record.at("tunes");
-  check(tunes.is_array() && tunes.size() > 0,
-        "a tune record must carry at least one tune");
-  for (const auto& t : tunes.items()) validate_tune(t);
+  command.expect(command.string() == "best" || command.string() == "sweep",
+                 "must be list, prune, best, or sweep");
+  const Reader tunes = record.member("tunes");
+  tunes.expect(tunes.size() > 0, "must not be empty");
+  for (std::size_t i = 0; i < tunes.size(); ++i) validate_tune(tunes.at(i));
 }
 
 }  // namespace ksum::tune

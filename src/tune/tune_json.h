@@ -33,9 +33,14 @@
 #include <vector>
 
 #include "profile/json.h"
+#include "profile/record.h"
 #include "tune/tuner.h"
 
 namespace ksum::tune {
+
+/// The TileGeometry field table: the one place each geometry field's name
+/// is spelled, shared by these records and the tuning cache.
+profile::Fields<gpukernels::TileGeometry> geometry_fields();
 
 /// One vetted candidate (the list/prune row).
 profile::Json verdict_to_json(const CandidateVerdict& verdict);

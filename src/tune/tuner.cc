@@ -18,6 +18,13 @@ TuneOptions options_for(const pipelines::RunOptions& options,
   return tune_options;
 }
 
+bool ranks_before(double seconds, const TileGeometry& geometry,
+                  double other_seconds, const TileGeometry& other) {
+  if (seconds != other_seconds) return seconds < other_seconds;
+  return !other.is_paper() &&
+         (geometry.is_paper() || geometry.to_string() < other.to_string());
+}
+
 TuneReport tune(const TuneRequest& request, const TuneOptions& options) {
   KSUM_REQUIRE(request.m > 0 && request.n > 0 && request.k > 0,
                "tune needs nonzero problem dimensions");
@@ -59,22 +66,13 @@ TuneReport tune(const TuneRequest& request, const TuneOptions& options) {
             .seconds;
   });
 
-  // Deterministic winner: lowest modelled seconds; ties fall to the paper
-  // geometry, then to to_string order.
   const TuneMeasurement* best = nullptr;
   for (const auto& m : report.measurements) {
-    if (!m.executed) continue;
-    if (best == nullptr || m.scaled_seconds < best->scaled_seconds) {
+    if (m.executed &&
+        (best == nullptr ||
+         ranks_before(m.scaled_seconds, m.verdict.geometry,
+                      best->scaled_seconds, best->verdict.geometry))) {
       best = &m;
-      continue;
-    }
-    if (m.scaled_seconds == best->scaled_seconds) {
-      const TileGeometry& g = m.verdict.geometry;
-      const TileGeometry& bg = best->verdict.geometry;
-      if (!bg.is_paper() &&
-          (g.is_paper() || g.to_string() < bg.to_string())) {
-        best = &m;
-      }
     }
   }
   KSUM_CHECK_MSG(best != nullptr, "no candidate executed");

@@ -65,6 +65,12 @@ struct TuneReport {
 TuneOptions options_for(const pipelines::RunOptions& options,
                         const std::string& profile);
 
+/// The tuner's deterministic winner order: lower modelled seconds first;
+/// ties fall to the paper geometry, then to to_string order.
+bool ranks_before(double seconds, const gpukernels::TileGeometry& geometry,
+                  double other_seconds,
+                  const gpukernels::TileGeometry& other);
+
 /// Runs the full enumerate → prune → price → pick pass. Throws
 /// ksum::Error for a host backend, a zero dimension, or when no candidate
 /// survives pruning (cannot happen with the stock grid — the paper geometry

@@ -1,10 +1,8 @@
 #include "tune/tuning_cache.h"
 
-#include <fstream>
-#include <sstream>
-#include <tuple>
-
 #include "common/error.h"
+#include "profile/record.h"
+#include "tune/tune_json.h"
 
 namespace ksum::tune {
 
@@ -12,30 +10,17 @@ using profile::Json;
 
 namespace {
 
+using profile::Reader;
+
 constexpr const char* kSchema = "ksum-tune-cache-v2";
 
-pipelines::Solution solution_from_string(const std::string& name) {
-  if (name == to_string(pipelines::Solution::kFused)) {
-    return pipelines::Solution::kFused;
+pipelines::Solution solution_named(const Reader& name) {
+  for (const auto solution :
+       {pipelines::Solution::kFused, pipelines::Solution::kCudaUnfused,
+        pipelines::Solution::kCublasUnfused}) {
+    if (name.string() == to_string(solution)) return solution;
   }
-  if (name == to_string(pipelines::Solution::kCudaUnfused)) {
-    return pipelines::Solution::kCudaUnfused;
-  }
-  if (name == to_string(pipelines::Solution::kCublasUnfused)) {
-    return pipelines::Solution::kCublasUnfused;
-  }
-  throw Error(std::string(kSchema) + ": unknown solution: " + name);
-}
-
-void check(bool cond, const std::string& what) {
-  if (!cond) throw Error(std::string(kSchema) + ": " + what);
-}
-
-std::size_t entry_size(const Json& e, const char* key) {
-  const double v = e.at(key).as_double();
-  check(v > 0 && v == static_cast<double>(static_cast<std::size_t>(v)),
-        std::string(key) + " must be a positive integer");
-  return static_cast<std::size_t>(v);
+  name.fail("unknown solution \"" + name.string() + "\"");
 }
 
 }  // namespace
@@ -124,13 +109,7 @@ Json TuningCache::to_json() const {
       e.set("solution",
             to_string(static_cast<pipelines::Solution>(key.solution)));
       e.set("profile", key.profile);
-      const auto& g = entry.geometry;
-      e.set("tile_m", g.tile_m);
-      e.set("tile_n", g.tile_n);
-      e.set("tile_k", g.tile_k);
-      e.set("block_x", g.block_x);
-      e.set("block_y", g.block_y);
-      e.set("micro", g.micro);
+      profile::write(e, entry.geometry, geometry_fields());
       e.set("scaled_seconds", entry.scaled_seconds);
       entries.push_back(std::move(e));
     }
@@ -140,96 +119,62 @@ Json TuningCache::to_json() const {
   return record;
 }
 
-void TuningCache::load_json(const Json& record) {
-  validate_tune_cache_json(record);
+void TuningCache::load_json(const Json& json) {
+  const Reader record(json, kSchema);
+  const Reader schema = record.member("schema");
+  if (schema.string() == "ksum-tune-cache-v1") {
+    throw Error("ksum-tune-cache-v1 is retired: its winners were priced by "
+                "a proxy re-model; re-tune (delete the file, then rerun with "
+                "--cache) to write a " + std::string(kSchema) + " cache");
+  }
+  schema.expect(schema.string() == kSchema,
+                "must be \"ksum-tune-cache-v2\"");
+  record.closed({"schema", "entries"});
+  const Reader list = record.member("entries");
   std::map<Key, Entry> entries;
-  for (const auto& e : record.at("entries").items()) {
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const Reader e = list.at(i);
+    e.closed({"m", "n", "k", "solution", "profile", "scaled_seconds"},
+             geometry_fields());
     Key key;
-    key.m = entry_size(e, "m");
-    key.n = entry_size(e, "n");
-    key.k = entry_size(e, "k");
-    key.solution =
-        static_cast<int>(solution_from_string(e.at("solution").as_string()));
-    key.profile = e.at("profile").as_string();
+    key.m = e.member("m").integer<std::size_t>(1);
+    key.n = e.member("n").integer<std::size_t>(1);
+    key.k = e.member("k").integer<std::size_t>(1);
+    key.solution = static_cast<int>(solution_named(e.member("solution")));
+    const Reader profile = e.member("profile");
+    key.profile = profile.string();
+    profile.expect(!key.profile.empty(), "must be non-empty");
+    // The determinism contract: a cache serialises in key order.
+    e.expect(entries.empty() || entries.rbegin()->first < key,
+             "entries must be strictly sorted by (m, n, k, solution, "
+             "profile)");
+
     Entry entry;
-    entry.geometry.tile_m = static_cast<int>(e.at("tile_m").as_double());
-    entry.geometry.tile_n = static_cast<int>(e.at("tile_n").as_double());
-    entry.geometry.tile_k = static_cast<int>(e.at("tile_k").as_double());
-    entry.geometry.block_x = static_cast<int>(e.at("block_x").as_double());
-    entry.geometry.block_y = static_cast<int>(e.at("block_y").as_double());
-    entry.geometry.micro = static_cast<int>(e.at("micro").as_double());
-    entry.scaled_seconds = e.at("scaled_seconds").as_double();
-    entries[key] = entry;
+    profile::read(e, entry.geometry, geometry_fields());
+    if (!entry.geometry.structurally_valid()) {
+      e.fail("geometry " + entry.geometry.to_string() +
+             " is structurally invalid");
+    }
+    const Reader seconds = e.member("scaled_seconds");
+    entry.scaled_seconds = seconds.number();
+    seconds.expect(entry.scaled_seconds > 0, "must be positive");
+    entries.emplace_hint(entries.end(), std::move(key), entry);
   }
   std::lock_guard<std::mutex> lock(mutex_);
   entries_ = std::move(entries);
 }
 
 void TuningCache::save(const std::string& path) const {
-  const auto record = to_json();
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot write tuning cache: " + path);
-  out << record.dump();
-  out.close();
-  if (!out) throw Error("failed writing tuning cache: " + path);
+  profile::write_file(path, to_json().dump());
 }
 
 void TuningCache::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open tuning cache: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  load_json(Json::parse(text.str()));
+  load_json(profile::read_file(path, "tuning cache"));
 }
 
 void validate_tune_cache_json(const Json& record) {
-  check(record.is_object(), "record must be an object");
-  const std::string schema = record.at("schema").as_string();
-  if (schema == "ksum-tune-cache-v1") {
-    throw Error("ksum-tune-cache-v1 is retired: its winners were priced by "
-                "a proxy re-model; re-tune (delete the file, then rerun with "
-                "--cache) to write a " + std::string(kSchema) + " cache");
-  }
-  check(schema == kSchema, "schema must be " + std::string(kSchema));
-  const auto& entries = record.at("entries");
-  check(entries.is_array(), "entries must be an array");
-  bool have_prev = false;
-  std::size_t pm = 0, pn = 0, pk = 0;
-  int ps = 0;
-  std::string pp;
-  for (const auto& e : entries.items()) {
-    const std::size_t m = entry_size(e, "m");
-    const std::size_t n = entry_size(e, "n");
-    const std::size_t k = entry_size(e, "k");
-    const int s =
-        static_cast<int>(solution_from_string(e.at("solution").as_string()));
-    const std::string p = e.at("profile").as_string();
-    check(!p.empty(), "entry profile must be non-empty");
-    if (have_prev) {
-      const bool ascending =
-          std::tie(pm, pn, pk, ps, pp) < std::tie(m, n, k, s, p);
-      check(ascending,
-            "entries must be strictly sorted by (m, n, k, solution, profile)");
-    }
-    have_prev = true;
-    pm = m;
-    pn = n;
-    pk = k;
-    ps = s;
-    pp = p;
-
-    gpukernels::TileGeometry g;
-    g.tile_m = static_cast<int>(e.at("tile_m").as_double());
-    g.tile_n = static_cast<int>(e.at("tile_n").as_double());
-    g.tile_k = static_cast<int>(e.at("tile_k").as_double());
-    g.block_x = static_cast<int>(e.at("block_x").as_double());
-    g.block_y = static_cast<int>(e.at("block_y").as_double());
-    g.micro = static_cast<int>(e.at("micro").as_double());
-    check(g.structurally_valid(),
-          "entry geometry " + g.to_string() + " is structurally invalid");
-    check(e.at("scaled_seconds").as_double() > 0,
-          "entry seconds must be positive");
-  }
+  TuningCache parsed;
+  parsed.load_json(record);
 }
 
 }  // namespace ksum::tune

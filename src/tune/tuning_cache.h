@@ -22,9 +22,11 @@
 //         "micro":…, "scaled_seconds":… } ]
 //   }
 //
-// validate_tune_cache_json() enforces the determinism contract: entries must
-// be strictly sorted by (m, n, k, solution, profile) with no duplicates, and
-// every geometry must be structurally valid. A v1 file (winners picked by
+// load_json() is the schema's executable definition (validation is the same
+// parse, discarded). It enforces the determinism contract: entries must be
+// strictly sorted by (m, n, k, solution, profile) with no duplicates. Every
+// field is required and exactly typed, unknown keys are rejected, and every
+// geometry must be structurally valid. A v1 file (winners picked by
 // the retired 512×512×16 proxy re-model) is refused with a request to
 // re-tune.
 #pragma once
@@ -84,7 +86,7 @@ class TuningCache : public pipelines::TileGeometryResolver {
 
   /// Serialises to ksum-tune-cache-v2 (validated before returning).
   profile::Json to_json() const;
-  /// Replaces the contents from a validated record.
+  /// Replaces the contents from a record (ksum::Error on any violation).
   void load_json(const profile::Json& record);
 
   /// File round-trip (dump() text; load validates).
@@ -110,7 +112,7 @@ class TuningCache : public pipelines::TileGeometryResolver {
   std::map<Key, Entry> entries_;
 };
 
-/// Throws ksum::Error describing the first violation.
+/// Parses the record as load_json() does and discards the result.
 void validate_tune_cache_json(const profile::Json& record);
 
 }  // namespace ksum::tune

@@ -133,6 +133,24 @@ TEST(DeviceProfileTest, ValidatorRejectsUnknownAndMissingKeys) {
     bad.set("schema", profile::Json("ksum-device-profile-v2"));
     EXPECT_THROW(config::profiles::validate_device_profile_json(bad), Error);
   }
+  {
+    // A missing nested field is refused with the schema tag and the path.
+    auto device = profile::Json::object();
+    for (const auto& [key, value] : good.at("device").members()) {
+      if (key != "num_sms") device.set(key, value);
+    }
+    auto bad = profile::Json::parse(good.dump());
+    bad.set("device", device);
+    try {
+      config::profiles::validate_device_profile_json(bad);
+      ADD_FAILURE() << "a profile without device.num_sms validated";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "ksum-device-profile-v1: device.num_sms: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(DeviceProfileTest, FileRoundTripAndResolve) {

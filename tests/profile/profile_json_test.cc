@@ -210,6 +210,67 @@ TEST(ShardProfileJsonTest, ValidatorRejectsMutatedRecords) {
                Error);
 }
 
+// ksum-prof-tree-v1: a treecode plan at one error budget and its price.
+TreeProfile tree_profile() {
+  return {.m = 512,
+          .n = 2048,
+          .k = 2,
+          .eps = 1e-4,
+          .device_name = "gtx970",
+          .row_clusters = 8,
+          .boxes = 32,
+          .near_pairs = 50,
+          .far0_pairs = 100,
+          .far1_pairs = 106,
+          .near_interactions = 262144,  // a quarter of 512 x 2048
+          .budget = 1e-6,
+          .bound_total = 5e-5,
+          .dense_seconds = 1e-4,
+          .tree_seconds = 5e-5};
+}
+
+TEST(TreeProfileJsonTest, EmittedRecordValidatesAndReparses) {
+  const Json record = tree_profile_to_json(tree_profile());
+  EXPECT_NO_THROW(validate_profile_tree_json(record));
+  EXPECT_EQ(record.at("plan").at("near_fraction").as_double(), 0.25);
+  EXPECT_EQ(record.at("model").at("speedup").as_double(), 2.0);
+  EXPECT_NO_THROW(validate_profile_tree_json(Json::parse(record.dump())));
+
+  // Without far pairs nothing is approximated, so the bound is not held to
+  // the budget.
+  TreeProfile dense_only = tree_profile();
+  dense_only.far0_pairs = 0;
+  dense_only.far1_pairs = 0;
+  dense_only.bound_total = 1.0;
+  EXPECT_NO_THROW(
+      validate_profile_tree_json(tree_profile_to_json(dense_only)));
+}
+
+TEST(TreeProfileJsonTest, ValidatorRejectsBrokenRecords) {
+  const Json record = tree_profile_to_json(tree_profile());
+  const auto rejected = [&](const std::vector<std::string>& path,
+                            Json value) {
+    try {
+      validate_profile_tree_json(replaced(record, path, 0, std::move(value)));
+    } catch (const Error& e) {
+      return std::string(e.what()).find("ksum-prof-tree-v1: " + path[0] +
+                                        "." + path.back() + ": ") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejected({"plan", "near_pairs"}, Json(2.5)));
+  EXPECT_TRUE(rejected({"plan", "boxes"}, Json(-1.0)));
+  EXPECT_TRUE(rejected({"plan", "far1_pairs"}, Json("106")));
+  EXPECT_TRUE(rejected({"plan", "near_fraction"}, Json(1.5)));
+  EXPECT_TRUE(rejected({"plan", "bound_total"}, Json(2e-4)));
+  EXPECT_TRUE(rejected({"model", "speedup"}, Json(3.0)));
+  EXPECT_TRUE(rejected({"shape", "m"}, Json(0)));
+  EXPECT_THROW(validate_profile_tree_json(replaced(record, {"schema"}, 0,
+                                                   Json("ksum-prof-tree-v0"))),
+               Error);
+}
+
 TEST(ProfileJsonTest, CountersRoundTripEveryField) {
   gpusim::Counters c;
   c.fma_ops = 1;

@@ -162,6 +162,36 @@ TEST(Server, HealthStatsAndTaxonomyAtIntake) {
   EXPECT_EQ(record.at("counters").at("received").as_double(), 4);
 }
 
+TEST(Server, InvalidRequestEchoesItsParsedId) {
+  // Correlation is by id (docs/SERVING.md): a request refused after its id
+  // parsed keeps that id on the `invalid` reply; only a line whose id never
+  // parsed gets "".
+  serve::ServerOptions opts;
+  opts.workers = 1;
+  Harness h(opts);
+  h.server->start();
+  h.server->handle_line(R"({"op":"solve","id":"r7","m":0,"n":8,"k":8})");
+  h.server->handle_line(R"({"op":"solve","id":8,"m":8,"n":8,"k":8.5})");
+  h.server->handle_line(R"({"op":"solve","id":{},"m":8,"n":8,"k":8})");
+  h.server->drain();
+
+  const auto lines = h.log->snapshot();
+  ASSERT_EQ(lines.size(), 3u);
+  const Json r7 = Json::parse(lines[0]);
+  EXPECT_EQ(r7.at("id").as_string(), "r7");
+  EXPECT_EQ(r7.at("status").as_string(), "invalid");
+  EXPECT_NE(r7.at("error").as_string().find(
+                "serve: m: must be an integer in [1, "),
+            std::string::npos)
+      << lines[0];
+  const Json numeric = Json::parse(lines[1]);
+  EXPECT_EQ(numeric.at("id").as_string(), "8");
+  EXPECT_EQ(numeric.at("status").as_string(), "invalid");
+  const Json unreadable = Json::parse(lines[2]);
+  EXPECT_EQ(unreadable.at("id").as_string(), "");
+  EXPECT_EQ(unreadable.at("status").as_string(), "invalid");
+}
+
 TEST(Server, TinyDeadlineTimesOutWithoutOutput) {
   serve::ServerOptions opts;
   opts.workers = 1;

@@ -224,6 +224,63 @@ TEST(TuningCacheTest, ValidatorRejectsBrokenRecords) {
     outer.set("entries", entries);
     EXPECT_THROW(tune::validate_tune_cache_json(outer), Error);
   }
+  {
+    // A wrongly-typed field is refused with the schema tag and the path.
+    auto entries = profile::Json::array();
+    auto first = good.at("entries").at(std::size_t{0});
+    first.set("tile_m", profile::Json("128"));
+    entries.push_back(first);
+    auto bad = profile::Json::object();
+    bad.set("schema", profile::Json("ksum-tune-cache-v2"));
+    bad.set("entries", entries);
+    try {
+      tune::validate_tune_cache_json(bad);
+      ADD_FAILURE() << "a string tile_m validated";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "ksum-tune-cache-v2: entries[0].tile_m: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TuningCacheTest, RejectsNonIntegralOutOfRangeAndUnknownFields) {
+  // A cache file is outside input. A fractional geometry used to load
+  // truncated, 1e12 was an undefined double→int conversion, and an unknown
+  // key was ignored; each must now be refused naming the field.
+  tune::TuningCache cache;
+  cache.insert(128, 128, 8, Solution::kFused,
+               entry_of(TileGeometry{}, 1e-3));
+  const auto good = cache.to_json();
+  const struct {
+    const char* key;
+    double value;
+  } cases[] = {{"tile_m", 128.5},
+               {"tile_m", 1e12},
+               {"micro", -4e18},
+               {"m", 1e30},
+               {"bogus", 1.0}};
+  for (const auto& c : cases) {
+    auto entry = good.at("entries").at(std::size_t{0});
+    entry.set(c.key, profile::Json(c.value));
+    auto entries = profile::Json::array();
+    entries.push_back(entry);
+    auto bad = profile::Json::object();
+    bad.set("schema", good.at("schema"));
+    bad.set("entries", entries);
+    tune::TuningCache loaded;
+    try {
+      loaded.load_json(bad);
+      ADD_FAILURE() << c.key << "=" << c.value << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("entries[0].") +
+                                           c.key + ": "),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(loaded.size(), 0u);
+  }
 }
 
 TEST(TuningCacheTest, RetiredV1SchemaAsksForARetune) {
