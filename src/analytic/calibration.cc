@@ -95,10 +95,18 @@ UnitShape unit_shape(const CalibrationKey& key) {
 CalibrationResult calibrate(const config::DeviceSpec& spec,
                             const CalibrationKey& key) {
   const UnitShape unit = unit_shape(key);
-  gpusim::Device device(
-      spec, pipelines::required_device_bytes(
-                unit.rows, unit.cols, unit.k, unit.intermediate,
-                static_cast<std::size_t>(key.geometry.tile_n)));
+  const std::size_t arena = pipelines::required_device_bytes(
+      unit.rows, unit.cols, unit.k, unit.intermediate,
+      static_cast<std::size_t>(key.geometry.tile_n));
+  // The unit spans the request's K (and N, for the row-wide kernels), so
+  // an absurd shape is refused here, before its device is built.
+  KSUM_REQUIRE(arena <= spec.shard_arena_bytes,
+               "the calibration CTA at K=" + std::to_string(key.k) +
+                   " needs a " + std::to_string(arena) +
+                   "-byte device arena, over the profile's " +
+                   std::to_string(spec.shard_arena_bytes) +
+                   "-byte per-device arena");
+  gpusim::Device device(spec, arena);
   Workspace ws = gpukernels::allocate_workspace(device, unit.rows, unit.cols,
                                                 unit.k, unit.intermediate);
   core::KernelParams params;  // Gaussian defaults; counts are data-blind

@@ -40,6 +40,23 @@ constexpr int log2_exact(T x) {
   return l;
 }
 
+/// a·b and a+b for sizes, throwing ksum::Error when the result does not fit
+/// in size_t: every arena and instance size is computed through these, so
+/// an absurd shape is refused instead of wrapping to a small allocation.
+inline std::size_t checked_mul(std::size_t a, std::size_t b) {
+  std::size_t out = 0;
+  KSUM_REQUIRE(!__builtin_mul_overflow(a, b, &out),
+               "problem size overflows size_t");
+  return out;
+}
+
+inline std::size_t checked_add(std::size_t a, std::size_t b) {
+  std::size_t out = 0;
+  KSUM_REQUIRE(!__builtin_add_overflow(a, b, &out),
+               "problem size overflows size_t");
+  return out;
+}
+
 /// Saturating conversion of a double ratio into percent.
 constexpr double as_percent(double ratio) { return ratio * 100.0; }
 

@@ -40,8 +40,9 @@ struct DeviceSpec {
   int fma_lanes_per_sm = 128;              // CUDA cores per Maxwell SM
   double dram_bandwidth_gb_s = 196.0;      // achievable (224 GB/s spec)
   double l2_bandwidth_bytes_per_cycle = 512.0;
-  // Per-device arena the shard planner may fill when auto-fitting a shard
-  // count (conservative: well under the board's 4 GB so a planned shard
+  // Per-device arena: the largest simulated device a request may build
+  // (pipelines/admission.h) and what --shards=auto fits each shard into
+  // (conservative: well under the board's 4 GB so an admitted device
   // always allocates; bigger boards raise it through their profile).
   std::size_t shard_arena_bytes = std::size_t{512} << 20;
 

@@ -1,12 +1,17 @@
 #include "pipelines/batch.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <exception>
 #include <istream>
 
 #include "blas/vector_ops.h"
 #include "common/error.h"
 #include "core/exact.h"
 #include "exec/batch_engine.h"
+#include "exec/cancel.h"
+#include "pipelines/admission.h"
 #include "workload/point_generators.h"
 
 namespace ksum::pipelines {
@@ -36,57 +41,83 @@ bool parse_whole(const std::string& text, T& out) {
   return ec == std::errc() && ptr == end;
 }
 
-BatchResult run_request(const BatchRequest& request, std::size_t index,
-                        double verify_tolerance) {
-  BatchResult out;
-  out.index = index;
-  try {
-    const workload::Instance instance = workload::make_instance(request.spec);
+}  // namespace
 
-    RunOptions options = request.options;
+OracleCheck check_oracle(const workload::Instance& instance,
+                         const core::KernelParams& params,
+                         const SolveResult& result) {
+  constexpr double kSlack = 5e-3;
+  constexpr double kFloor = 1e-2;
+  const Vector oracle = solve(instance, params, Backend::kCpuDirect).v;
+  OracleCheck out;
+  out.rel_error = blas::max_rel_diff(result.v.span(), oracle.span(), kFloor);
+  out.ok = out.rel_error < kSlack;
+  if (!out.ok && result.tree.has_value()) {
+    // The ε contract, entry by entry: the request's truncation budget plus
+    // the dense slack of that entry. It holds the request, so it also
+    // holds a dense fallback.
+    out.ok = true;
+    for (std::size_t i = 0; i < oracle.size() && out.ok; ++i) {
+      const double o = oracle[i];
+      out.ok = std::abs(double(result.v[i]) - o) <=
+               result.tree->eps + kSlack * std::max(kFloor, std::abs(o));
+    }
+  }
+  return out;
+}
+
+RequestFailure current_failure() {
+  try {
+    throw;
+  } catch (const exec::Cancelled& e) {
+    return {StatusCode::kTimeout, e.what()};
+  } catch (const Error& e) {
+    return {StatusCode::kInvalid, e.what()};
+  } catch (const std::exception& e) {
+    return {StatusCode::kInternal, e.what()};
+  } catch (...) {
+    return {StatusCode::kInternal, "unknown exception"};
+  }
+}
+
+BatchResult execute(const BatchRequest& request) {
+  BatchResult out;
+  try {
     KSUM_REQUIRE(request.fault_rate <= 1.0,
                  "batch request fault rate must be in [0, 1]");
-    const auto plan = attach_fault_plan(
-        options,
-        request.fault_seed != 0 ? request.fault_seed
-                                : derived_fault_seed(index),
-        request.fault_rate);
+    admit(request.spec, request.backend, request.options);
+    const workload::Instance instance = workload::make_instance(request.spec);
+    RunOptions options = request.options;
+    const auto plan =
+        attach_fault_plan(options, request.fault_seed, request.fault_rate);
 
     out.solve = solve(instance, request.params, request.backend, options);
-    out.ok = !out.solve.recovery.gave_up;
+    if (plan) out.fault_plan = plan->to_string();
     if (out.solve.recovery.gave_up) {
       out.status = StatusCode::kFaultUnrecovered;
     }
-
     if (request.verify) {
-      const SolveResult oracle =
-          solve(instance, request.params, Backend::kCpuDirect);
-      out.oracle_rel_error =
-          blas::max_rel_diff(out.solve.v.span(), oracle.v.span(), 1e-2);
-      out.verified = out.oracle_rel_error < verify_tolerance;
+      const OracleCheck check =
+          check_oracle(instance, request.params, out.solve);
+      out.oracle_rel_error = check.rel_error;
+      out.verified = check.ok;
       if (!out.verified && out.status == StatusCode::kOk) {
         // Wrong answer with nothing flagged: silent corruption, which is
         // our bug (or an injected fault the checks missed), not the
         // caller's — classed internal, never invalid.
         out.status = StatusCode::kInternal;
       }
-      out.ok = out.ok && out.verified;
     }
-  } catch (const InternalError&) {
-    throw;  // a bug, not a bad request — abort the batch loudly
-  } catch (const exec::Cancelled& e) {
-    out.error = e.what();
-    out.ok = false;
-    out.status = StatusCode::kTimeout;
-  } catch (const Error& e) {
-    out.error = e.what();
-    out.ok = false;
-    out.status = StatusCode::kInvalid;
+  } catch (...) {
+    const RequestFailure failure = current_failure();
+    // A bug, not a bad request: abort loudly.
+    if (failure.status == StatusCode::kInternal) throw;
+    out.status = failure.status;
+    out.error = failure.message;
   }
+  out.ok = out.status == StatusCode::kOk;
   return out;
 }
-
-}  // namespace
 
 std::vector<BatchResult> solve_many(const std::vector<BatchRequest>& requests,
                                     const BatchOptions& options) {
@@ -98,7 +129,11 @@ std::vector<BatchResult> solve_many(const std::vector<BatchRequest>& requests,
   }
   exec::ThreadPool pool(options.threads);
   return exec::map_ordered(pool, requests.size(), [&](std::size_t index) {
-    return run_request(requests[index], index, options.verify_tolerance);
+    BatchRequest request = requests[index];
+    if (request.fault_seed == 0) request.fault_seed = derived_fault_seed(index);
+    BatchResult out = execute(request);
+    out.index = index;
+    return out;
   });
 }
 

@@ -1,15 +1,15 @@
-// Batched kernel summation: many independent requests through one call.
+// The request path. execute() is the one executor a solve request goes
+// through: admit (admission.h) → make_instance → fault plan →
+// pipelines::solve → oracle check → StatusCode. ksum-cli solve (single and
+// --batch) and solve_many call it; ksum-serve keeps its own retry/degrade
+// ladder but shares admit(), check_oracle() and current_failure().
 //
-// solve_many() is the traffic-serving front door the ROADMAP asks for: each
-// BatchRequest is a complete problem (spec + kernel params + backend +
-// per-request robustness settings), executed by pipelines::solve on its own
-// private simulated Device — run_pipeline constructs the Device from
-// options.device per call, so workers share no simulator state. Requests run
-// concurrently on an exec::ThreadPool, and results are aggregated in
-// submission order, so the returned vector (numerics, Counters, energy
-// records, recovery reports) is byte-identical for any thread count
-// (docs/PARALLELISM.md spells out the contract; the thread-invariance tests
-// pin it).
+// solve_many() runs the requests concurrently on an exec::ThreadPool, each
+// on its own private simulated Device (run_pipeline builds it from
+// options.device), and aggregates the results in submission order, so the
+// returned vector (numerics, Counters, energy records, recovery reports) is
+// byte-identical for any thread count (docs/PARALLELISM.md spells out the
+// contract; the thread-invariance tests pin it).
 //
 // Fault injection is per request: a request with fault_rate > 0 gets its own
 // robust::FaultPlan whose RNG streams are seeded from the request's
@@ -45,7 +45,8 @@ struct BatchRequest {
   /// submission index so every request draws an independent, reproducible
   /// fault stream regardless of worker scheduling.
   std::uint64_t fault_seed = 0;
-  /// Cross-check the result against the double-precision host oracle.
+  /// Cross-check the result against the double-precision host oracle
+  /// (check_oracle).
   bool verify = false;
 };
 
@@ -65,19 +66,47 @@ struct BatchResult {
   /// corruption). `ok` remains `status == kOk`.
   StatusCode status = StatusCode::kOk;
   /// Non-empty when the request itself failed with ksum::Error (bad spec,
-  /// conflicting options). The rest of the batch still runs.
+  /// conflicting options, refused admission). The rest of the batch still
+  /// runs.
   std::string error;
+  /// FaultPlan::to_string of the unsharded fault plan after the run.
+  std::string fault_plan;
 };
 
 struct BatchOptions {
   /// Worker threads, in [1, exec::ThreadPool::kMaxThreads].
   int threads = 1;
-  /// Verification tolerance (max_rel_diff with a 1e-2 absolute floor).
-  double verify_tolerance = 5e-3;
 };
 
-/// Runs every request (concurrently when options.threads > 1) and returns
-/// one BatchResult per request, in submission order.
+/// The repo-wide oracle rule (docs/TESTING.md): `result.v` agrees with the
+/// host oracle within 5e-3 · max(0.01, |V_exact|). A request with a
+/// treecode budget ε (result.tree present, also after a dense fallback)
+/// passes when every entry is within ε + 5e-3 · max(0.01, |V_exact,i|):
+/// the ε contract of docs/TREECODE.md.
+struct OracleCheck {
+  double rel_error = 0;  // max_rel_diff against the oracle, 0.01 floor
+  bool ok = false;
+};
+OracleCheck check_oracle(const workload::Instance& instance,
+                         const core::KernelParams& params,
+                         const SolveResult& result);
+
+/// How a request that threw is classified, from inside its catch block:
+/// exec::Cancelled → kTimeout, ksum::Error → kInvalid, anything else (a
+/// ksum::InternalError, a foreign exception) → kInternal.
+struct RequestFailure {
+  StatusCode status = StatusCode::kInternal;
+  std::string message;
+};
+RequestFailure current_failure();
+
+/// Runs one request. A failing request comes back with its status and
+/// `error` set; only an internal error (a bug) propagates. `fault_seed` is
+/// used as given (solve_many first derives a zero one from the index).
+BatchResult execute(const BatchRequest& request);
+
+/// Runs every request through execute() and returns one BatchResult per
+/// request, in submission order.
 std::vector<BatchResult> solve_many(const std::vector<BatchRequest>& requests,
                                     const BatchOptions& options = {});
 

@@ -1,5 +1,6 @@
 #include "pipelines/knn_pipeline.h"
 
+#include "common/math_util.h"
 #include "gpukernels/gemm_cublas_model.h"
 #include "gpukernels/kernel_eval.h"
 #include "gpukernels/norms.h"
@@ -31,6 +32,18 @@ std::string to_string(KnnSolution solution) {
   return solution == KnnSolution::kFused ? "Fused-kNN" : "Unfused-kNN";
 }
 
+// Inputs + norms + outputs + staging, with headroom.
+std::size_t knn_device_bytes(std::size_t m, std::size_t n, std::size_t k,
+                             std::size_t k_nn, bool unfused) {
+  std::size_t words = checked_add(checked_mul(m, k), checked_mul(k, n));
+  words = checked_add(words, checked_mul(2, checked_add(m, n)));
+  if (unfused) words = checked_add(words, checked_mul(m, n));
+  const std::size_t staging = checked_mul(
+      checked_mul(m, n / 128 + 2), checked_mul(2, k_nn));
+  words = checked_add(words, staging);
+  return checked_add(checked_mul(words, 4), std::size_t{1} << 20);
+}
+
 KnnReport run_knn_pipeline(KnnSolution solution,
                            const workload::Instance& instance,
                            std::size_t k_nn, const RunOptions& options) {
@@ -39,11 +52,8 @@ KnnReport run_knn_pipeline(KnnSolution solution,
   const std::size_t k = instance.spec.k;
   const bool unfused = solution == KnnSolution::kUnfused;
 
-  // Inputs + norms + outputs + staging, with headroom.
-  const std::size_t bytes = (m * k + k * n + 2 * (m + n)) * 4 +
-                            (unfused ? m * n * 4 : 0) +
-                            m * (n / 128 + 2) * 2 * k_nn * 4 + (1u << 20);
-  gpusim::Device device(options.device, bytes);
+  gpusim::Device device(options.device,
+                        knn_device_bytes(m, n, k, k_nn, unfused));
   gpukernels::Workspace ws =
       gpukernels::allocate_workspace(device, m, n, k, unfused);
   gpukernels::upload_instance(device, ws, instance);

@@ -28,6 +28,11 @@ struct KnnReport {
   gpusim::EnergyBreakdown energy;
 };
 
+/// Device-arena bytes run_knn_pipeline allocates for an (m, n, k) search
+/// of `k_nn` neighbours. Throws ksum::Error when the size overflows size_t.
+std::size_t knn_device_bytes(std::size_t m, std::size_t n, std::size_t k,
+                             std::size_t k_nn, bool unfused);
+
 KnnReport run_knn_pipeline(KnnSolution solution,
                            const workload::Instance& instance,
                            std::size_t k_nn, const RunOptions& options = {});

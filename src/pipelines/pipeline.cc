@@ -1,6 +1,7 @@
 #include "pipelines/pipeline.h"
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "gpukernels/abft_check.h"
 #include "gpukernels/gemm_cublas_model.h"
 #include "gpukernels/gemv_summation.h"
@@ -50,14 +51,16 @@ std::string to_string(Solution solution) {
 
 // Memory the pipeline needs on the simulated device, with headroom for the
 // non-atomic ablation's staging buffer (one partial-V column per CTA
-// column, tile_n wide each).
+// column, tile_n wide each): A, B, both norm vectors, W and V, the
+// intermediate, the staging buffer and 1 MiB of slack.
 std::size_t required_device_bytes(std::size_t m, std::size_t n, std::size_t k,
                                   bool with_intermediate,
                                   std::size_t tile_n) {
-  const std::size_t base = (m * k + k * n + 2 * m + 2 * n + m) * 4;
-  const std::size_t inter = with_intermediate ? m * n * 4 : 0;
-  const std::size_t staging = (m * (n / tile_n) + m) * 4;
-  return base + inter + staging + (1u << 20);
+  std::size_t words = checked_add(checked_mul(m, k), checked_mul(k, n));
+  words = checked_add(words, checked_add(checked_mul(3, m), checked_mul(2, n)));
+  if (with_intermediate) words = checked_add(words, checked_mul(m, n));
+  words = checked_add(words, checked_add(checked_mul(m, n / tile_n), m));
+  return checked_add(checked_mul(words, 4), std::size_t{1} << 20);
 }
 
 double pipeline_useful_flops(std::size_t m, std::size_t n, std::size_t k) {

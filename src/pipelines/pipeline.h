@@ -147,8 +147,8 @@ double pipeline_useful_flops(std::size_t m, std::size_t n, std::size_t k);
 
 /// Device-arena bytes run_pipeline allocates for an (m, n, k) problem
 /// (`with_intermediate` = unfused pipelines that materialise C). Exposed so
-/// the serving layer can size warm per-worker Devices for its admission
-/// bounds up front.
+/// admission (admission.h) and the shard planner can size devices before
+/// building them. Throws ksum::Error when the size overflows size_t.
 std::size_t required_device_bytes(std::size_t m, std::size_t n, std::size_t k,
                                   bool with_intermediate, std::size_t tile_n);
 

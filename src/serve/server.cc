@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "blas/vector_ops.h"
 #include "common/error.h"
 #include "core/exact.h"
+#include "pipelines/admission.h"
+#include "pipelines/batch.h"
 #include "shard/plan.h"
 #include "workload/point_generators.h"
 
@@ -14,19 +15,6 @@ namespace ksum::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::size_t align_up(std::size_t v, std::size_t align) {
-  return (v + align - 1) / align * align;
-}
-
-// Conservative upper bound on the arena run_pipeline will ask for after the
-// solver's padding: dimensions rounded past any lcm(tile edge, 128)
-// alignment in the candidate set, staging sized for the smallest tile_n.
-std::size_t conservative_arena_bytes(const workload::ProblemSpec& spec) {
-  return pipelines::required_device_bytes(
-      align_up(spec.m, 256), align_up(spec.n, 256), align_up(spec.k, 64),
-      /*with_intermediate=*/true, /*tile_n=*/32);
-}
 
 bool spec_equal(const workload::ProblemSpec& a,
                 const workload::ProblemSpec& b) {
@@ -156,64 +144,65 @@ void Server::handle_line(const std::string& line) {
   // planner is invisible to the client apart from the `shards` field.
   std::size_t shard_count = 1;
   shard::ShardAxis shard_axis = shard::ShardAxis::kM;
+  std::string refusal;
   const bool m_over = request.spec.m > options_.max_m;
   const bool n_over = request.spec.n > options_.max_n;
   if (m_over || n_over || request.spec.k > options_.max_k) {
-    std::string bounds = "admission bounds (max ";
-    bounds += std::to_string(options_.max_m);
-    bounds += 'x';
-    bounds += std::to_string(options_.max_n);
-    bounds += " K=";
-    bounds += std::to_string(options_.max_k);
-    bounds += ')';
-    std::string refusal;
+    const std::string bounds =
+        "admission bounds (max " + std::to_string(options_.max_m) + 'x' +
+        std::to_string(options_.max_n) + " K=" +
+        std::to_string(options_.max_k) + ')';
+    const std::string exceeds = "shape exceeds " + bounds;
     if (request.spec.k > options_.max_k) {
       // K is the reduction depth — both shard axes replicate it whole.
-      refusal = "K exceeds ";
-      refusal += bounds;
-      refusal += " and does not shard";
+      refusal = "K exceeds " + bounds + " and does not shard";
     } else if (m_over && n_over) {
-      refusal = "shape exceeds ";
-      refusal += bounds;
-      refusal += " on both M and N";
+      refusal = exceeds + " on both M and N";
     } else if (options_.max_shards <= 1) {
-      refusal = "shape exceeds ";
-      refusal += bounds;
+      refusal = exceeds;
     } else if (!pipelines::is_simulated(request.backend)) {
-      refusal = "shape exceeds ";
-      refusal += bounds;
-      refusal += " and host backends do not shard";
+      refusal = exceeds + " and host backends do not shard";
     } else if (n_over && request.backend != pipelines::Backend::kSimFused) {
-      refusal = "shape exceeds ";
-      refusal += bounds;
-      refusal += " on N and N-axis sharding requires the fused backend";
+      refusal =
+          exceeds + " on N and N-axis sharding requires the fused backend";
     } else {
       const std::size_t dim = m_over ? request.spec.m : request.spec.n;
       const std::size_t limit = m_over ? options_.max_m : options_.max_n;
       const std::size_t needed =
           shard::min_shards_for_limit(dim, /*align=*/128, limit);
       if (needed == 0 || needed > options_.max_shards) {
-        refusal = "shape exceeds ";
-        refusal += bounds;
-        refusal += " even split across ";
-        refusal += std::to_string(options_.max_shards);
-        refusal += " shard(s)";
+        refusal = exceeds + " even split across " +
+                  std::to_string(options_.max_shards) + " shard(s)";
       } else {
         shard_count = needed;
         shard_axis = m_over ? shard::ShardAxis::kM : shard::ShardAxis::kN;
       }
     }
-    if (!refusal.empty()) {
-      stats_.record_status(StatusCode::kInvalid);
-      reply(error_reply(request.id, StatusCode::kInvalid, refusal));
-      return;
+  }
+  // Within the bounds, admission sizes every device the request will build
+  // (pipelines/admission.h) under the options it will run with, so a shape
+  // whose arena the profile cannot hold is refused here instead of failing
+  // an allocation on a worker.
+  pipelines::RunOptions run =
+      run_options_for(request, shard_count, shard_axis);
+  std::size_t arena_bytes = 0;
+  if (refusal.empty()) {
+    try {
+      arena_bytes = pipelines::admit(request.spec, request.backend, run);
+    } catch (const Error& e) {
+      refusal = e.what();
     }
+  }
+  if (!refusal.empty()) {
+    stats_.record_status(StatusCode::kInvalid);
+    reply(error_reply(request.id, StatusCode::kInvalid, refusal));
+    return;
   }
 
   Pending item;
   item.request = std::move(request);
-  item.shard_count = shard_count;
-  item.shard_axis = shard_axis;
+  item.run = std::move(run);
+  item.arena_bytes = arena_bytes;
   item.enqueued = Clock::now();
   const double deadline_ms = item.request.deadline_ms >= 0
                                  ? item.request.deadline_ms
@@ -272,14 +261,32 @@ const workload::Instance& Server::instance_for(
   return *ctx.cached_instance;
 }
 
-gpusim::Device* Server::warm_device_for(WorkerContext& ctx,
-                                        const workload::ProblemSpec& spec) {
-  const std::size_t needed = conservative_arena_bytes(spec);
-  if (!ctx.device.has_value() || ctx.device->memory().capacity() < needed) {
-    ctx.device.reset();
-    ctx.device.emplace(options_.run.device, needed);
+pipelines::RunOptions Server::run_options_for(
+    const ServeRequest& request, std::size_t shard_count,
+    shard::ShardAxis shard_axis) {
+  pipelines::RunOptions run = options_.run;
+  if (request.robust) {
+    run.checks.enabled = true;
+    run.recovery.enabled = true;
   }
-  return &*ctx.device;
+  if (run.tree.enabled() && (request.backend != pipelines::Backend::kSimFused ||
+                             request.fault_rate > 0)) {
+    // The daemon-wide treecode budget only applies where the ε contract
+    // holds: fused-backend requests without fault injection. Everything
+    // else runs the dense path it would have run without --tree-eps.
+    run.tree = tree::TreeSpec{};
+  }
+  if (shard_count > 1) {
+    // Admission routed this oversized shape through the shard planner:
+    // each shard builds its own device sized to its slice, so the worker's
+    // warm device is not used.
+    run.shards.count = shard_count;
+    run.shards.axis = shard_axis;
+  }
+  if (pipelines::is_simulated(request.backend) && options_.autotune) {
+    run.geometry_resolver = &tuning_cache_;
+  }
+  return run;
 }
 
 void Server::run_solve(WorkerContext& ctx, const Pending& item) {
@@ -292,42 +299,32 @@ void Server::run_solve(WorkerContext& ctx, const Pending& item) {
 
   SolveReplyInfo info;
   info.backend = request.backend;
+  StatusCode status = StatusCode::kOk;
   std::string out_line;
   try {
     const workload::Instance& instance = instance_for(ctx, request.spec);
     const core::KernelParams params = core::params_from_spec(request.spec);
 
-    pipelines::RunOptions run = options_.run;
+    pipelines::RunOptions run = item.run;
     run.cancel = &token;
-    if (request.robust) {
-      run.checks.enabled = true;
-      run.recovery.enabled = true;
-    }
-    if (run.tree.enabled() && (request.backend != pipelines::Backend::kSimFused ||
-                               request.fault_rate > 0)) {
-      // The daemon-wide treecode budget only applies where the ε contract
-      // holds: fused-backend requests without fault injection. Everything
-      // else runs the dense path it would have run without --tree-eps.
-      run.tree = tree::TreeSpec{};
-    }
-
     const bool simulated = pipelines::is_simulated(request.backend);
-    const bool sharded = item.shard_count > 1;
-    if (sharded) {
-      // Admission routed this oversized shape through the shard planner:
-      // each shard builds its own device sized to its slice, so the
-      // worker's warm device (capped by the admission bounds) is not used.
-      run.shards.count = item.shard_count;
-      run.shards.axis = item.shard_axis;
-    }
-    if (simulated && !sharded) {
-      run.warm_device = warm_device_for(ctx, request.spec);
-    }
+    std::size_t arena = item.arena_bytes;
     if (simulated && options_.autotune) {
       tuning_cache_.get_or_tune(request.spec.m, request.spec.n,
                                 request.spec.k, request.backend,
                                 tune::options_for(run, options_.profile));
-      run.geometry_resolver = &tuning_cache_;
+      // The tuned geometry may pad differently from the one admitted at
+      // intake, so it is admitted in turn.
+      arena = pipelines::admit(request.spec, request.backend, run);
+    }
+    if (simulated && !run.shards.enabled()) {
+      // Grow the warm device to admission's exact arena for this request's
+      // own solution (emplace frees the old arena before allocating the
+      // new one).
+      if (!ctx.device.has_value() || ctx.device->memory().capacity() < arena) {
+        ctx.device.emplace(options_.run.device, arena);
+      }
+      run.warm_device = &*ctx.device;
     }
 
     const std::uint64_t base_seed = effective_fault_seed(request);
@@ -363,16 +360,11 @@ void Server::run_solve(WorkerContext& ctx, const Pending& item) {
     }
     stats_.record_faults_detected(info.faults_detected);
 
-    if (flagged) {
-      if (!options_.degrade_to_host) {
-        stats_.record_status(StatusCode::kFaultUnrecovered);
-        reply(error_reply(request.id, StatusCode::kFaultUnrecovered,
-                          "every recovery attempt stayed flagged"));
-        stats_.record_wall_seconds(
-            std::chrono::duration<double>(Clock::now() - item.enqueued)
-                .count());
-        return;
-      }
+    if (flagged && !options_.degrade_to_host) {
+      status = StatusCode::kFaultUnrecovered;
+      out_line = error_reply(request.id, status,
+                             "every recovery attempt stayed flagged");
+    } else if (flagged) {
       // Degraded fallback: the fault-free host expansion path. Slower and
       // without the simulator's report, but the reply stays trustworthy.
       token.check();
@@ -386,42 +378,34 @@ void Server::run_solve(WorkerContext& ctx, const Pending& item) {
       stats_.record_degraded();
     }
 
-    if (request.verify) {
-      const pipelines::SolveResult oracle = pipelines::solve(
-          instance, params, pipelines::Backend::kCpuDirect);
-      info.oracle_rel_error =
-          blas::max_rel_diff(result.v.span(), oracle.v.span(), 1e-2);
-      info.verified = info.oracle_rel_error < 5e-3;
+    if (status == StatusCode::kOk && request.verify) {
+      const pipelines::OracleCheck check =
+          pipelines::check_oracle(instance, params, result);
+      info.oracle_rel_error = check.rel_error;
+      info.verified = check.ok;
       if (!info.verified) {
         // Wrong answer with nothing flagged: silent corruption — never
         // report the result as ok.
-        stats_.record_status(StatusCode::kInternal);
-        reply(error_reply(request.id, StatusCode::kInternal,
-                          "result failed oracle verification"));
-        stats_.record_wall_seconds(
-            std::chrono::duration<double>(Clock::now() - item.enqueued)
-                .count());
-        return;
+        status = StatusCode::kInternal;
+        out_line = error_reply(request.id, status,
+                               "result failed oracle verification");
       }
     }
 
-    if (result.report.has_value()) {
-      info.modelled_seconds = result.report->seconds;
-      info.energy_joules = result.report->energy.total();
-      stats_.record_modelled_seconds(result.report->seconds);
+    if (status == StatusCode::kOk) {
+      if (result.report.has_value()) {
+        info.modelled_seconds = result.report->seconds;
+        info.energy_joules = result.report->energy.total();
+        stats_.record_modelled_seconds(result.report->seconds);
+      }
+      out_line = solve_reply(request.id, request, info, result.v.span());
     }
-    out_line = solve_reply(request.id, request, info, result.v.span());
-    stats_.record_status(StatusCode::kOk);
-  } catch (const exec::Cancelled& e) {
-    stats_.record_status(StatusCode::kTimeout);
-    out_line = error_reply(request.id, StatusCode::kTimeout, e.what());
-  } catch (const InternalError& e) {
-    stats_.record_status(StatusCode::kInternal);
-    out_line = error_reply(request.id, StatusCode::kInternal, e.what());
-  } catch (const Error& e) {
-    stats_.record_status(StatusCode::kInvalid);
-    out_line = error_reply(request.id, StatusCode::kInvalid, e.what());
+  } catch (...) {
+    const pipelines::RequestFailure failure = pipelines::current_failure();
+    status = failure.status;
+    out_line = error_reply(request.id, failure.status, failure.message);
   }
+  stats_.record_status(status);
   stats_.record_wall_seconds(
       std::chrono::duration<double>(Clock::now() - item.enqueued).count());
   reply(out_line);

@@ -17,10 +17,13 @@
 //   4. degraded fallback: when every attempt stayed flagged, the request is
 //      re-solved on the fault-free host expansion path and answered `ok`
 //      with degraded=true (unless degrade_to_host is off → fault_unrecovered).
+// Admission (pipelines/admission.h) runs at intake: a shape whose device
+// arena the profile cannot hold is refused as invalid before it is queued.
 // A worker never lets a request's exception escape: ksum::Error → invalid,
-// exec::Cancelled → timeout, anything else → internal. One poisoned request
-// cannot take down the process or perturb its neighbours (every request runs
-// on its own reset device with its own injector).
+// exec::Cancelled → timeout, anything else → internal
+// (pipelines::current_failure). One poisoned request cannot take down the
+// process or perturb its neighbours (every request runs on its own reset
+// device with its own injector).
 //
 // Replies are a pure function of the request (protocol.h), so successful
 // replies are byte-identical for any worker count.
@@ -123,13 +126,14 @@ class Server {
     std::chrono::steady_clock::time_point enqueued;
     // steady_clock::time_point::max() = no deadline.
     std::chrono::steady_clock::time_point deadline;
-    // Shard routing decided at admission (1 = ordinary single-device run).
-    std::size_t shard_count = 1;
-    shard::ShardAxis shard_axis = shard::ShardAxis::kM;
+    // The run options admitted at intake, shard routing included, and the
+    // arena admission sized for them.
+    pipelines::RunOptions run;
+    std::size_t arena_bytes = 0;
   };
 
-  /// Per-worker warm state. The device is grown (never shrunk) to fit the
-  /// conservatively padded shape of each request; run_pipeline resets it
+  /// Per-worker warm state. The device is grown (never shrunk) to each
+  /// request's admitted arena (pipelines::admit); run_pipeline resets it
   /// per run, which is bit-identical to a fresh device.
   struct WorkerContext {
     std::optional<gpusim::Device> device;
@@ -142,8 +146,12 @@ class Server {
   void run_solve(WorkerContext& ctx, const Pending& item);
   const workload::Instance& instance_for(WorkerContext& ctx,
                                          const workload::ProblemSpec& spec);
-  gpusim::Device* warm_device_for(WorkerContext& ctx,
-                                  const workload::ProblemSpec& spec);
+  /// The run options a request executes under: the base options plus its
+  /// robustness, treecode budget, shard routing and tile resolver. Intake
+  /// admits exactly these; the worker adds its cancel token and warm device.
+  pipelines::RunOptions run_options_for(const ServeRequest& request,
+                                        std::size_t shard_count,
+                                        shard::ShardAxis shard_axis);
   std::string health_line(const std::string& id) const;
 
   const ServerOptions options_;

@@ -74,31 +74,37 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
   const std::size_t align = axis == ShardAxis::kM ? alignment.m : alignment.n;
   const std::size_t blocks = ceil_div(dim, align);
 
+  // Device arena of the largest shard of a c-way split: the first one,
+  // which takes ceil(blocks / c) blocks.
+  const auto shard_arena = [&](std::size_t c) {
+    const std::size_t largest = ceil_div(blocks, c) * align;
+    const bool along_m = axis == ShardAxis::kM;
+    return pipelines::required_device_bytes(
+        along_m ? largest : workload::round_up(m, alignment.m),
+        along_m ? workload::round_up(n, alignment.n) : largest,
+        workload::round_up(k, alignment.k),
+        solution != pipelines::Solution::kFused, tile_n);
+  };
   std::size_t count = 0;
   if (spec.count == 0) {
-    // Auto: smallest count whose largest (padded) shard fits the budget —
-    // the active profile's per-device arena unless the spec overrides it.
-    const std::size_t budget = spec.max_device_bytes != 0
-                                   ? spec.max_device_bytes
-                                   : options.device.shard_arena_bytes;
-    const bool unfused = solution != pipelines::Solution::kFused;
-    for (std::size_t c = 1; c <= blocks && count == 0; ++c) {
-      const std::size_t largest = ceil_div(blocks, c) * align;
-      const std::size_t sm = axis == ShardAxis::kM
-                                 ? largest
-                                 : workload::round_up(m, alignment.m);
-      const std::size_t sn = axis == ShardAxis::kM
-                                 ? workload::round_up(n, alignment.n)
-                                 : largest;
-      if (pipelines::required_device_bytes(
-              sm, sn, workload::round_up(k, alignment.k), unfused, tile_n) <=
-          budget) {
-        count = c;
-      }
-    }
-    KSUM_REQUIRE(count != 0,
+    // Auto: smallest count whose largest shard fits the active profile's
+    // per-device arena. The arena only shrinks as the count grows, so a
+    // shape whose single-block shard does not fit is refused up front and
+    // the count is a binary search.
+    const std::size_t budget = options.device.shard_arena_bytes;
+    KSUM_REQUIRE(shard_arena(blocks) <= budget,
                  "auto shard count: even a single-CTA-block shard exceeds "
                  "the per-device budget");
+    std::size_t lo = 1;
+    count = blocks;
+    while (lo < count) {
+      const std::size_t mid = lo + (count - lo) / 2;
+      if (shard_arena(mid) <= budget) {
+        count = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
   } else {
     count = std::min(spec.count, blocks);
   }
@@ -106,6 +112,7 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
   ShardPlan plan;
   plan.axis = axis;
   plan.align = align;
+  plan.arena_bytes = shard_arena(count);
   plan.ranges.reserve(count);
   // Even block partition: the first (blocks % count) shards take one extra
   // block; the last shard absorbs the ragged element tail.

@@ -32,6 +32,9 @@ struct ShardPlan {
   std::vector<ShardRange> ranges;
   /// CTA-block alignment every interior boundary is a multiple of.
   std::size_t align = 0;
+  /// Device arena of the largest shard — the warm device every runner
+  /// worker builds, and what admission holds to the per-device arena.
+  std::size_t arena_bytes = 0;
   std::size_t count() const { return ranges.size(); }
 };
 
@@ -47,8 +50,9 @@ double replicated_bytes(ShardAxis axis, std::size_t m, std::size_t n,
 ///   axis  — `spec.axis`, or for kAuto: kM unless the backend is the fused
 ///           solution *and* the replicated-traffic model favours kN.
 ///   count — `spec.count`, or for 0 (auto) the smallest count whose
-///           per-shard device arena fits `spec.max_device_bytes`; either
-///           way clamped to the number of aligned blocks along the axis.
+///           per-shard device arena fits the profile's
+///           `options.device.shard_arena_bytes`; either way clamped to the
+///           number of aligned blocks along the axis.
 ///   cuts  — blocks split as evenly as possible; when the count does not
 ///           divide the block count the earlier shards take one extra
 ///           block and the last shard carries the ragged tail.

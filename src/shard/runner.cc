@@ -11,7 +11,6 @@
 #include "common/error.h"
 #include "exec/thread_pool.h"
 #include "shard/merge.h"
-#include "workload/padding.h"
 
 namespace ksum::shard {
 namespace {
@@ -167,24 +166,12 @@ pipelines::SolveResult run_sharded(const workload::Instance& instance,
     slices.push_back(slice_instance(instance, axis, range));
   }
 
-  // Warm-device arena: large enough for the biggest shard of *this*
-  // solution, so every dispatch reuses the worker's device (reset() makes
-  // that bit-identical to a fresh one). A recovery fallback to the unfused
+  // Warm-device arena: the plan's largest shard of *this* solution, so
+  // every dispatch reuses the worker's device (reset() makes that
+  // bit-identical to a fresh one). A recovery fallback to the unfused
   // pipeline may need the intermediate matrix too — run_pipeline then
   // builds a one-off fresh device, which is the same bits, just colder.
-  const gpukernels::TileGeometry& geometry = options.mainloop.geometry;
-  const std::size_t tile_n = static_cast<std::size_t>(geometry.tile_n);
-  const auto align = gpukernels::solve_alignment(geometry);
-  std::size_t arena_bytes = 0;
-  for (const workload::Instance& slice : slices) {
-    arena_bytes = std::max(
-        arena_bytes,
-        pipelines::required_device_bytes(
-            workload::round_up(slice.spec.m, align.m),
-            workload::round_up(slice.spec.n, align.n),
-            workload::round_up(slice.spec.k, align.k),
-            solution != Solution::kFused, tile_n));
-  }
+  const std::size_t arena_bytes = plan.arena_bytes;
 
   std::vector<ShardSlot> slots(count);
   for (std::size_t i = 0; i < count; ++i) {

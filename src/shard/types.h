@@ -55,17 +55,14 @@ using ShardInjectorFactory =
 /// default) means unsharded execution; the rest of the fields are ignored.
 struct ShardSpec {
   /// Number of shards. 1 = off, 0 = auto (smallest count whose per-shard
-  /// arena fits `max_device_bytes`). Explicit counts are clamped to the
-  /// number of CTA-aligned blocks along the chosen axis.
+  /// arena fits the active profile's DeviceSpec::shard_arena_bytes; 512 MiB
+  /// on the paper's gtx970). Explicit counts are clamped to the number of
+  /// CTA-aligned blocks along the chosen axis.
   std::size_t count = 1;
   ShardAxis axis = ShardAxis::kAuto;
   /// Worker threads (each with its own warm Device). 0 = one per shard.
   /// Results are bit-identical for every worker count.
   int workers = 0;
-  /// Per-device arena budget consulted by auto shard counts. 0 = the
-  /// active device profile's arena (DeviceSpec::shard_arena_bytes; 512 MiB
-  /// on the paper's gtx970).
-  std::size_t max_device_bytes = 0;
   /// Total hand-outs allowed per shard: 1 initial dispatch plus
   /// re-dispatches after the shard's own recovery gave up. The re-dispatch
   /// preferentially lands on a different worker (straggler/fault

@@ -30,11 +30,11 @@
 #include <fstream>
 #include <iostream>
 
-#include "blas/vector_ops.h"
 #include "common/flags.h"
 #include "common/timer.h"
 #include "config/profiles/device_profile.h"
 #include "core/knn_exact.h"
+#include "pipelines/admission.h"
 #include "pipelines/batch.h"
 #include "pipelines/knn_pipeline.h"
 #include "pipelines/solver.h"
@@ -202,21 +202,15 @@ bool apply_tile_flag(const std::string& tile, std::size_t m, std::size_t n,
   return true;
 }
 
-/// Runs a --batch CSV through pipelines::solve_many and prints the
-/// submission-ordered summary. Everything printed to stdout is a pure
-/// function of the requests, so the report is byte-identical for any
-/// --threads value (wall-clock goes to stderr).
-int run_batch(const FlagParser& flags, pipelines::Backend backend,
-              int threads, const tools::FaultFlags& faults,
-              const std::string& profile_name,
-              const pipelines::RunOptions& options) {
-  pipelines::BatchRequest base;
-  base.spec = spec_from_flags(flags);
-  base.params = params_from_flags(flags, base.spec);
-  base.backend = backend;
-  base.options = options;
-  base.fault_rate = faults.rate;
-  base.verify = flags.get_bool("verify");
+/// Runs a --batch CSV, each row starting from `base`, through
+/// pipelines::solve_many and prints the submission-ordered summary.
+/// Everything printed to stdout is a pure function of the requests, so the
+/// report is byte-identical for any --threads value (wall-clock goes to
+/// stderr).
+int run_batch(const FlagParser& flags, pipelines::BatchRequest base,
+              int threads, std::optional<std::uint64_t> fault_seed,
+              const std::string& profile_name) {
+  const pipelines::Backend backend = base.backend;
 
   // --tile applies to the whole batch: a fixed geometry is vetted once and
   // copied into every request; 'auto' attaches the tuning cache as the
@@ -252,11 +246,11 @@ int run_batch(const FlagParser& flags, pipelines::Backend backend,
     std::printf("tile geometry: autotuned per shape (%zu cache entries)\n",
                 tile_cache.size());
   }
-  if (faults.seed.has_value()) {
+  if (fault_seed.has_value()) {
     // An explicit base seed still gives every request an independent
     // stream, offset by its submission index (replayable end to end).
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      requests[i].fault_seed = *faults.seed + i;
+      requests[i].fault_seed = *fault_seed + i;
     }
   }
 
@@ -377,16 +371,20 @@ int cmd_solve(int argc, const char* const* argv) {
   tools::shards_from_flags(flags, backend, options);
   tools::tree_from_flags(flags, options);
 
+  // The one request, or with --batch the base every CSV row starts from.
+  pipelines::BatchRequest request;
+  request.spec = spec_from_flags(flags);
+  request.params = params_from_flags(flags, request.spec);
+  request.backend = backend;
+  request.fault_rate = faults.rate;
+  request.verify = flags.get_bool("verify");
   if (flags.has("batch")) {
-    return run_batch(flags, backend, threads, faults, device.profile.name,
-                     options);
+    request.options = options;
+    return run_batch(flags, request, threads, faults.seed,
+                     device.profile.name);
   }
-
-  const auto spec = spec_from_flags(flags);
-  const auto params = params_from_flags(flags, spec);
-  const auto plan = pipelines::attach_fault_plan(
-      options, faults.seed.value_or(1), faults.rate);
-  const auto instance = workload::make_instance(spec);
+  request.fault_seed = faults.seed.value_or(1);
+  const auto& spec = request.spec;
 
   tune::TuningCache tile_cache;
   tile_cache.set_profile(device.profile.name);
@@ -396,8 +394,11 @@ int cmd_solve(int argc, const char* const* argv) {
     return 1;
   }
   const auto dense_cost = tools::attach_dense_cost(options);
+  request.options = options;
 
-  const auto result = pipelines::solve(instance, params, backend, options);
+  const auto executed = pipelines::execute(request);
+  if (!executed.error.empty()) throw Error(executed.error);
+  const auto& result = executed.solve;
   std::printf("%s on %s\n", pipelines::to_string(backend).c_str(),
               spec.to_string().c_str());
   if (result.report) {
@@ -418,21 +419,18 @@ int cmd_solve(int argc, const char* const* argv) {
   if (result.tree.has_value()) {
     std::printf("%s\n", result.tree->to_string().c_str());
   }
-  if (plan) {
-    std::printf("%s\n", plan->to_string().c_str());
+  if (!executed.fault_plan.empty()) {
+    std::printf("%s\n", executed.fault_plan.c_str());
   }
   if (result.recovery.gave_up) {
     std::fprintf(stderr, "ksum-cli: fault detected and not recovered\n");
     return 1;
   }
-  if (flags.get_bool("verify")) {
-    const auto oracle =
-        pipelines::solve(instance, params, pipelines::Backend::kCpuDirect);
-    const double err =
-        blas::max_rel_diff(result.v.span(), oracle.v.span(), 1e-3);
-    std::printf("max relative error vs oracle: %.3e %s\n", err,
-                err < 1e-2 ? "(ok)" : "(FAILED)");
-    return err < 1e-2 ? 0 : 1;
+  if (request.verify) {
+    std::printf("max relative error vs oracle: %.3e %s\n",
+                executed.oracle_rel_error,
+                executed.verified ? "(ok)" : "(FAILED)");
+    return executed.verified ? 0 : 1;
   }
   return 0;
 }
@@ -457,12 +455,13 @@ int cmd_knn(int argc, const char* const* argv) {
   tools::kernel_flags_from_flags(flags, /*fused_solve=*/false, knn_options);
 
   const auto spec = spec_from_flags(flags);
-  const auto instance = workload::make_instance(spec);
   const std::size_t k_nn = flags.get_size("neighbors", 8);
   KSUM_REQUIRE(k_nn >= 1 && k_nn <= 16, "--neighbors must be in [1, 16]");
   const auto solution = flags.get_bool("unfused")
                             ? pipelines::KnnSolution::kUnfused
                             : pipelines::KnnSolution::kFused;
+  pipelines::admit_knn(spec, solution, k_nn, knn_options);
+  const auto instance = workload::make_instance(spec);
   const auto report =
       pipelines::run_knn_pipeline(solution, instance, k_nn, knn_options);
   report::knn_kernel_table(report, knn_options.device).print(std::cout);

@@ -76,7 +76,6 @@
 #include "tools/tool_flags.h"
 #include "tree/cost.h"
 #include "tree/plan.h"
-#include "workload/padding.h"
 #include "workload/point_generators.h"
 
 namespace {
@@ -286,19 +285,12 @@ int run_shard_prof(const FlagParser& flags, const pipelines::RunOptions& run,
       spec.m, spec.n, spec.k, run, pipelines::Solution::kFused);
 
   const auto& device_spec = dev.device;
-  const auto& geometry = run.mainloop.geometry;
   std::vector<profile::ShardProfileEntry> entries;
   entries.reserve(plan.count());
   for (std::size_t i = 0; i < plan.count(); ++i) {
     const workload::Instance slice =
         shard::slice_instance(instance, plan.axis, plan.ranges[i]);
-    const std::size_t arena = pipelines::required_device_bytes(
-        workload::round_up(slice.spec.m, 128),
-        workload::round_up(slice.spec.n, 128),
-        workload::round_up(slice.spec.k, 8),
-        /*with_intermediate=*/false,
-        static_cast<std::size_t>(geometry.tile_n));
-    gpusim::Device device(device_spec, arena);
+    gpusim::Device device(device_spec, plan.arena_bytes);
     std::vector<profile::LaunchProfile> raw;
     {
       profile::LaunchProfiler profiler(device);

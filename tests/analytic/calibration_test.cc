@@ -13,6 +13,7 @@
 
 #include "analytic/pipeline_model.h"
 #include "blas/vector_ops.h"
+#include "common/error.h"
 #include "config/profiles/device_profile.h"
 #include "core/exact.h"
 #include "pipelines/pipeline.h"
@@ -251,6 +252,23 @@ TEST(CalibrationTest, AtomicFusedIgnoresN) {
   const auto& n512 = calibrator.get({KernelKind::kFused, 16, 512});
   EXPECT_NE(&n0, &n512);
   EXPECT_EQ(n0.per_cta, n512.per_cta);
+}
+
+TEST(CalibrationTest, UnitOverTheArenaIsRefusedBeforeItIsBuilt) {
+  // The unit CTA spans the request's K: at K = 2e9 it needs terabytes, so
+  // ksum-tune refuses it (exit 2) instead of allocating.
+  Calibrator calibrator(config::DeviceSpec::gtx970());
+  try {
+    calibrator.get({KernelKind::kFused, 2000000000, 0});
+    ADD_FAILURE() << "calibrated a unit over the per-device arena";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("calibration CTA at K=2000000000"),
+              std::string::npos);
+  }
+  // The row-wide units span N: a 128×2^20 GEMV unit with its
+  // intermediate is over the gtx970's 512 MiB.
+  EXPECT_THROW(calibrator.get({KernelKind::kGemv, 8, std::size_t{1} << 20}),
+               Error);
 }
 
 }  // namespace

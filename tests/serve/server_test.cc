@@ -162,6 +162,38 @@ TEST(Server, HealthStatsAndTaxonomyAtIntake) {
   EXPECT_EQ(record.at("counters").at("received").as_double(), 4);
 }
 
+TEST(Server, ArenaRefusalIsInvalidAtIntakeAndNextRequestServes) {
+  // Bounds raised past what the profile's device arena holds: admission
+  // refuses the shapes at intake — before any worker allocates — and the
+  // daemon keeps serving.
+  serve::ServerOptions opts;
+  opts.workers = 1;
+  opts.max_m = std::size_t{1} << 33;
+  opts.max_n = std::size_t{1} << 33;
+  opts.max_k = std::size_t{1} << 31;
+  Harness h(opts);
+  h.server->start();
+  h.server->handle_line(solve_line("square", std::size_t{1} << 32,
+                                   std::size_t{1} << 32, 8,
+                                   R"(,"robust":false)"));
+  h.server->handle_line(solve_line("deep", 3000000000, 2, 2000000000));
+  h.server->handle_line(solve_line("next", 128, 128, 8, R"(,"verify":true)"));
+  h.server->drain();
+
+  const auto lines = h.log->snapshot();
+  ASSERT_EQ(lines.size(), 3u);
+  const Json square = reply_for(lines, "square");
+  EXPECT_EQ(square.at("status").as_string(), "invalid");
+  EXPECT_NE(square.at("error").as_string().find("--shards=auto"),
+            std::string::npos);
+  EXPECT_EQ(reply_for(lines, "deep").at("status").as_string(), "invalid");
+  const Json next = reply_for(lines, "next");
+  EXPECT_EQ(next.at("status").as_string(), "ok");
+  EXPECT_TRUE(next.at("verified").as_bool());
+  EXPECT_EQ(h.server->stats_json().at("counters").at("invalid").as_double(),
+            2);
+}
+
 TEST(Server, InvalidRequestEchoesItsParsedId) {
   // Correlation is by id (docs/SERVING.md): a request refused after its id
   // parsed keeps that id on the `invalid` reply; only a line whose id never

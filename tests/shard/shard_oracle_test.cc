@@ -156,7 +156,7 @@ TEST(ShardOracleTest, AutoCountSplitsToFitBudgetAndMatchesOracle) {
   options.shards.count = 0;  // auto
   options.shards.axis = ShardAxis::kM;
   // Big enough for a couple of row blocks, far too small for all eight.
-  options.shards.max_device_bytes = pipelines::required_device_bytes(
+  options.device.shard_arena_bytes = pipelines::required_device_bytes(
       256, 384, 8, /*with_intermediate=*/false, 128);
   const SolveResult sharded =
       pipelines::solve(instance, params, Backend::kSimFused, options);

@@ -19,7 +19,7 @@ ShardPlan plan_for(std::size_t m, std::size_t n, std::size_t k,
   RunOptions options;
   options.shards.count = count;
   options.shards.axis = axis;
-  options.shards.max_device_bytes = budget;
+  if (budget != 0) options.device.shard_arena_bytes = budget;
   return shard::plan_shards(m, n, k, options, solution);
 }
 
