@@ -49,7 +49,7 @@ struct FusedResult {
   /// The (M × grid.x) staging buffer of the non-atomic two-pass scheme
   /// (invalid handle under atomic reduction). Still resident on the device
   /// when run_fused_ksum returns; the sharding layer downloads it to replay
-  /// the partial-reduce fold across shards (src/shard/merge.h).
+  /// the partial-reduce fold across shards (src/shard/runner.cc).
   gpusim::DeviceBuffer staged;
 };
 

@@ -6,27 +6,6 @@
 #include "gpukernels/norms.h"
 
 namespace ksum::pipelines {
-namespace {
-
-KernelReport knn_report(const RunOptions& options,
-                        const gpusim::LaunchResult& launch,
-                        double mainloop_iters,
-                        const config::KernelGrade& grade) {
-  KernelReport report;
-  report.name = launch.kernel_name;
-  report.counters = launch.counters;
-  report.shape.num_ctas = launch.grid.count();
-  report.shape.config = launch.config;
-  report.shape.occupancy = launch.occupancy;
-  report.shape.mainloop_iters = mainloop_iters;
-  report.shape.grade = grade;
-  report.timing = gpusim::estimate_kernel_time(
-      options.device, options.timing,
-      gpusim::CostInputs::from_counters(launch.counters), report.shape);
-  return report;
-}
-
-}  // namespace
 
 std::string to_string(KnnSolution solution) {
   return solution == KnnSolution::kFused ? "Fused-kNN" : "Unfused-kNN";
@@ -68,46 +47,36 @@ KnnReport run_knn_pipeline(KnnSolution solution,
   const auto cuda_grade = options.cuda_kernel_grade;
   const double iters = gpusim::mainloop_iters_for_k(k);
 
-  report.kernels.push_back(
-      knn_report(options, gpukernels::run_norms_a(device, ws), 0, cuda_grade));
-  report.kernels.push_back(
-      knn_report(options, gpukernels::run_norms_b(device, ws), 0, cuda_grade));
+  report.kernels.push_back(make_report(
+      options, gpukernels::run_norms_a(device, ws), 0, cuda_grade, 0.0));
+  report.kernels.push_back(make_report(
+      options, gpukernels::run_norms_b(device, ws), 0, cuda_grade, 0.0));
 
   if (solution == KnnSolution::kFused) {
     gpukernels::MainloopConfig mainloop = options.mainloop;
     const auto launches = gpukernels::run_fused_knn(device, ws, k_nn,
                                                     report.result, mainloop);
     report.kernels.push_back(
-        knn_report(options, launches.main, iters, cuda_grade));
+        make_report(options, launches.main, iters, cuda_grade, 0.0));
     for (const auto& extra : launches.extra) {
-      report.kernels.push_back(knn_report(options, extra, 0, cuda_grade));
+      report.kernels.push_back(
+          make_report(options, extra, 0, cuda_grade, 0.0));
     }
   } else {
-    report.kernels.push_back(knn_report(
+    report.kernels.push_back(make_report(
         options,
         gpukernels::run_gemm_cublas_model(device, ws.a, ws.b, ws.c, m, n, k),
-        iters, config::KernelGrade::assembly()));
-    report.kernels.push_back(knn_report(
-        options, gpukernels::run_distance_eval(device, ws), 0, cuda_grade));
-    report.kernels.push_back(knn_report(
+        iters, config::KernelGrade::assembly(), 0.0));
+    report.kernels.push_back(make_report(
+        options, gpukernels::run_distance_eval(device, ws), 0, cuda_grade,
+        0.0));
+    report.kernels.push_back(make_report(
         options, gpukernels::run_knn_select(device, ws, k_nn, report.result),
-        0, cuda_grade));
+        0, cuda_grade, 0.0));
   }
 
-  const gpusim::Counters writeback = device.flush_l2();
-  for (const auto& kr : report.kernels) {
-    report.total += kr.counters;
-    report.seconds += kr.timing.seconds(options.device);
-  }
-  report.total += writeback;
-  report.seconds += double(writeback.dram_write_transactions) *
-                    double(options.device.l2_sector_bytes) /
-                    (options.device.dram_bandwidth_gb_s * 1e9 *
-                     options.timing.dram_efficiency);
-  report.energy =
-      gpusim::compute_energy(options.energy,
-                             gpusim::CostInputs::from_counters(report.total),
-                             report.seconds);
+  total_report(device, options, report.kernels, report.total, report.seconds,
+               report.energy);
   return report;
 }
 

@@ -10,7 +10,6 @@
 #include "gpukernels/tile_geometry.h"
 
 namespace ksum::pipelines {
-namespace {
 
 using gpukernels::Workspace;
 
@@ -18,7 +17,7 @@ KernelReport make_report(const RunOptions& options,
                          const gpusim::LaunchResult& launch,
                          double mainloop_iters,
                          const config::KernelGrade& grade,
-                         double useful_flops, bool overlapped = true) {
+                         double useful_flops, bool overlapped) {
   KernelReport report;
   report.name = launch.kernel_name;
   report.counters = launch.counters;
@@ -35,7 +34,23 @@ KernelReport make_report(const RunOptions& options,
   return report;
 }
 
-}  // namespace
+void total_report(gpusim::Device& device, const RunOptions& options,
+                  const std::vector<KernelReport>& kernels,
+                  gpusim::Counters& total, double& seconds,
+                  gpusim::EnergyBreakdown& energy) {
+  const gpusim::Counters writeback = device.flush_l2();
+  for (const auto& kr : kernels) {
+    total += kr.counters;
+    seconds += kr.timing.seconds(options.device);
+  }
+  total += writeback;
+  seconds += double(writeback.dram_write_transactions) *
+             double(options.device.l2_sector_bytes) /
+             (options.device.dram_bandwidth_gb_s * 1e9 *
+              options.timing.dram_efficiency);
+  energy = gpusim::compute_energy(
+      options.energy, gpusim::CostInputs::from_counters(total), seconds);
+}
 
 std::string to_string(Solution solution) {
   switch (solution) {
@@ -224,26 +239,11 @@ PipelineReport run_pipeline(Solution solution,
   checkpoint();
 
   // Final writeback of dirty intermediates / results.
-  const gpusim::Counters writeback = device.flush_l2();
-
-  for (const auto& kr : report.kernels) {
-    report.total += kr.counters;
-    report.seconds += kr.timing.seconds(options.device);
-  }
-  report.total += writeback;
-  // The writeback drains at DRAM bandwidth; charge its time too.
-  report.seconds +=
-      double(writeback.dram_write_transactions) *
-      double(options.device.l2_sector_bytes) /
-      (options.device.dram_bandwidth_gb_s * 1e9 * options.timing.dram_efficiency);
-
+  total_report(device, options, report.kernels, report.total, report.seconds,
+               report.energy);
   report.useful_flops = pipeline_useful_flops(m, n, k);
   report.flop_efficiency = gpusim::flop_efficiency(
       options.device, report.useful_flops, report.seconds);
-  report.energy =
-      gpusim::compute_energy(options.energy,
-                             gpusim::CostInputs::from_counters(report.total),
-                             report.seconds);
   report.result = gpukernels::download_result(device, ws);
 
   if (options.checks.enabled) {

@@ -141,6 +141,21 @@ PipelineReport run_pipeline(Solution solution,
                             const core::KernelParams& params,
                             const RunOptions& options = {});
 
+/// Prices one launch: its counters through the timing model of `options`.
+KernelReport make_report(const RunOptions& options,
+                         const gpusim::LaunchResult& launch,
+                         double mainloop_iters,
+                         const config::KernelGrade& grade,
+                         double useful_flops, bool overlapped = true);
+
+/// The epilogue run_pipeline and run_knn_pipeline share: flushes the
+/// device's L2, then sums `kernels` and the writeback into `total`, the
+/// modelled `seconds` (the writeback drains at DRAM bandwidth) and `energy`.
+void total_report(gpusim::Device& device, const RunOptions& options,
+                  const std::vector<KernelReport>& kernels,
+                  gpusim::Counters& total, double& seconds,
+                  gpusim::EnergyBreakdown& energy);
+
 /// FLOP accounting used for Table II (GEMM + eval + GEMV work, the
 /// flop_count_sp style of nvprof).
 double pipeline_useful_flops(std::size_t m, std::size_t n, std::size_t k);

@@ -3,12 +3,15 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "exec/thread_pool.h"
 #include "workload/padding.h"
 
 namespace ksum::shard {
 namespace {
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+std::size_t ceil_div(std::size_t a, std::size_t b) {
+  return a / b + (a % b != 0 ? 1 : 0);
+}
 
 }  // namespace
 
@@ -128,15 +131,22 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
   return plan;
 }
 
+int worker_count(const ShardSpec& spec, std::size_t count) {
+  std::size_t workers =
+      spec.workers > 0 ? static_cast<std::size_t>(spec.workers) : count;
+  workers = std::min(
+      {workers, count, std::size_t{exec::ThreadPool::kMaxThreads}});
+  return static_cast<int>(std::max<std::size_t>(workers, 1));
+}
+
 std::size_t min_shards_for_limit(std::size_t dim, std::size_t align,
                                  std::size_t limit) {
   if (dim == 0 || align == 0) return 0;
-  const std::size_t blocks = ceil_div(dim, align);
-  for (std::size_t c = 1; c <= blocks; ++c) {
-    const std::size_t largest = std::min(dim, ceil_div(blocks, c) * align);
-    if (largest <= limit) return c;
-  }
-  return 0;
+  if (dim <= limit) return 1;
+  if (limit < align) return 0;
+  // The largest of c shards holds ceil(blocks / c) blocks, so the smallest
+  // count keeping it within limit / align blocks is ceil(blocks / that).
+  return ceil_div(ceil_div(dim, align), limit / align);
 }
 
 }  // namespace ksum::shard

@@ -65,6 +65,11 @@ ShardPlan plan_shards(std::size_t m, std::size_t n, std::size_t k,
                       const pipelines::RunOptions& options,
                       pipelines::Solution solution);
 
+/// Worker threads a run of `count` shards uses: `spec.workers` (0 = one
+/// per shard), at most one per shard and exec::ThreadPool::kMaxThreads,
+/// at least one. Each worker holds one shard's slice and device at a time.
+int worker_count(const ShardSpec& spec, std::size_t count);
+
 /// Smallest shard count whose largest shard has at most `limit` elements
 /// along a `dim`-sized axis, given the admission-time block alignment.
 /// Returns 0 when no count achieves it (limit < align). The serving layer

@@ -1,16 +1,11 @@
 #include "shard/runner.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <mutex>
-#include <optional>
 #include <utility>
 
 #include "common/error.h"
-#include "exec/thread_pool.h"
-#include "shard/merge.h"
+#include "exec/batch_engine.h"
 
 namespace ksum::shard {
 namespace {
@@ -18,88 +13,16 @@ namespace {
 using pipelines::RunOptions;
 using pipelines::Solution;
 
-/// One (shard, dispatch) hand-out. `banned` is the worker that failed the
-/// previous dispatch (-1 = none): the queue refuses to give the task back
-/// to it unless it is the only worker, so a re-dispatch preferentially
-/// lands on a different device.
-struct Task {
-  std::size_t shard = 0;
-  int dispatch = 0;
-  int banned = -1;
-};
+/// Runs per shard: the first, plus one re-run when the shard's own
+/// recovery gave up (every retry and fallback still flagged).
+constexpr int kMaxDispatches = 2;
 
-/// The master side of the runner: a monitor the workers pull tasks from.
-/// Fresh shards are handed out in index order; re-dispatched shards are
-/// queued separately and take priority for any non-banned worker. All
-/// workers stay inside next_task until every shard completed (or the run
-/// aborted), so a re-dispatch always finds a live worker to adopt it.
-class TaskQueue {
- public:
-  TaskQueue(std::size_t total, int workers)
-      : total_(total), workers_(workers) {}
-
-  std::optional<Task> next_task(int worker) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (abort_ || finished_ == total_) return std::nullopt;
-      for (std::size_t i = 0; i < retries_.size(); ++i) {
-        if (retries_[i].banned != worker || workers_ == 1) {
-          Task task = retries_[i];
-          retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(i));
-          return task;
-        }
-      }
-      if (next_fresh_ < total_) {
-        return Task{next_fresh_++, 0, -1};
-      }
-      // Nothing claimable: shards are in flight elsewhere, or the only
-      // queued retry is banned for us — wait for a state change.
-      cv_.wait(lock);
-    }
-  }
-
-  void task_done(std::size_t /*shard*/) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++finished_;
-    }
-    cv_.notify_all();
-  }
-
-  void redispatch(std::size_t shard, int dispatch, int failed_worker) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      retries_.push_back(Task{shard, dispatch, failed_worker});
-    }
-    cv_.notify_all();
-  }
-
-  void abort() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      abort_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t total_;
-  int workers_;
-  std::size_t next_fresh_ = 0;
-  std::size_t finished_ = 0;
-  std::vector<Task> retries_;
-  bool abort_ = false;
-};
-
-/// Completed state of one shard, filled by whichever worker finishes it.
-struct ShardSlot {
+/// One shard's contribution to the merge: its last dispatch's result, the
+/// staged partials that dispatch exported (kN) and its report.
+struct ShardOutcome {
   pipelines::SolveResult result;
   StagedPartials staged;
   ShardSliceReport slice;
-  std::exception_ptr error;
-  bool has_result = false;
 };
 
 }  // namespace
@@ -153,136 +76,90 @@ pipelines::SolveResult run_sharded(const workload::Instance& instance,
   const std::size_t count = plan.count();
   const ShardAxis axis = plan.axis;
 
-  int workers = spec.workers > 0 ? spec.workers : static_cast<int>(count);
-  workers = std::min(workers, static_cast<int>(count));
-  workers = std::min(workers, exec::ThreadPool::kMaxThreads);
-  workers = std::max(workers, 1);
-  const int max_dispatches = std::max(spec.max_dispatches, 1);
+  const int workers = worker_count(spec, count);
 
-  // Slice once up front; dispatches of the same shard share the slice.
-  std::vector<workload::Instance> slices;
-  slices.reserve(count);
-  for (const ShardRange& range : plan.ranges) {
-    slices.push_back(slice_instance(instance, axis, range));
-  }
-
-  // Warm-device arena: the plan's largest shard of *this* solution, so
-  // every dispatch reuses the worker's device (reset() makes that
-  // bit-identical to a fresh one). A recovery fallback to the unfused
-  // pipeline may need the intermediate matrix too — run_pipeline then
-  // builds a one-off fresh device, which is the same bits, just colder.
-  const std::size_t arena_bytes = plan.arena_bytes;
-
-  std::vector<ShardSlot> slots(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    slots[i].slice.index = i;
-    slots[i].slice.begin = plan.ranges[i].begin;
-    slots[i].slice.end = plan.ranges[i].end;
-    slots[i].slice.dispatches = 0;
-    slots[i].slice.recovery.attempts = 0;
-  }
-  std::mutex slots_mutex;
-  TaskQueue queue(count, workers);
-
-  const auto worker_body = [&](std::size_t worker_index) {
-    std::optional<gpusim::Device> device;  // built on first task
-    while (std::optional<Task> task =
-               queue.next_task(static_cast<int>(worker_index))) {
-      try {
-        if (!device.has_value()) {
-          device.emplace(options.device, arena_bytes);
-        }
-        RunOptions shard_options = options;
-        shard_options.shards = ShardSpec{};
-        shard_options.geometry_resolver = nullptr;
-        shard_options.warm_device = &*device;
-        shard_options.fault_injector = nullptr;
-        std::shared_ptr<gpusim::FaultInjector> injector;
-        if (spec.injector_factory) {
-          injector = spec.injector_factory(task->shard, task->dispatch);
-          shard_options.fault_injector = injector.get();
-        }
-        StagedPartials staged;
-        if (axis == ShardAxis::kN) {
-          // The merge replays the staged reduction, so the shard must run
-          // it — and must not fall back to a pipeline that has none.
-          shard_options.atomic_reduction = false;
-          shard_options.capture_staged_partials = &staged;
-          shard_options.recovery.fallback_to_unfused = false;
-        }
-        pipelines::SolveResult result = pipelines::solve(
-            slices[task->shard], params, backend, shard_options);
-        const bool gave_up = result.recovery.gave_up;
-        const bool retry_left = task->dispatch + 1 < max_dispatches;
-        {
-          std::lock_guard<std::mutex> lock(slots_mutex);
-          ShardSlot& slot = slots[task->shard];
-          ++slot.slice.dispatches;
-          slot.slice.recovery.attempts += result.recovery.attempts;
-          slot.slice.recovery.faults_detected +=
-              result.recovery.faults_detected;
-          slot.slice.recovery.fallback_used |= result.recovery.fallback_used;
-          if (!gave_up || !retry_left) {
-            slot.slice.recovery.gave_up = gave_up;
-            slot.result = std::move(result);
-            slot.staged = std::move(staged);
-            slot.has_result = true;
-          }
-        }
-        if (gave_up && retry_left) {
-          // The shard's own recovery budget is exhausted on this device;
-          // hand it back for another worker to pick up.
-          queue.redispatch(task->shard, task->dispatch + 1,
-                           static_cast<int>(worker_index));
-        } else {
-          queue.task_done(task->shard);
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(slots_mutex);
-          slots[task->shard].error = std::current_exception();
-        }
-        queue.abort();
-      }
+  // Each shard slices its own sub-instance and builds its own device at the
+  // plan's largest-shard arena, so at most `workers` of each are live. Both
+  // dispatches of a shard reuse that device (reset() makes it bit-identical
+  // to a fresh one), and every dispatch draws its faults from the factory's
+  // (shard, dispatch) stream, so the output cannot depend on which worker
+  // ran which shard. A recovery fallback to the unfused pipeline may need
+  // the intermediate matrix too — run_pipeline then builds a one-off fresh
+  // device, which is the same bits, just colder.
+  const auto run_shard = [&](std::size_t i) {
+    // A cancelled request starts no further shard.
+    if (options.cancel != nullptr) options.cancel->check();
+    ShardOutcome out;
+    out.slice.index = i;
+    out.slice.begin = plan.ranges[i].begin;
+    out.slice.end = plan.ranges[i].end;
+    out.slice.dispatches = 0;
+    out.slice.recovery.attempts = 0;
+    const workload::Instance slice =
+        slice_instance(instance, axis, plan.ranges[i]);
+    gpusim::Device device(options.device, plan.arena_bytes);
+    RunOptions shard_options = options;
+    shard_options.shards = ShardSpec{};
+    shard_options.geometry_resolver = nullptr;
+    shard_options.warm_device = &device;
+    if (axis == ShardAxis::kN) {
+      // The merge replays the staged reduction, so the shard must run it —
+      // and must not fall back to a pipeline that has none.
+      shard_options.atomic_reduction = false;
+      shard_options.capture_staged_partials = &out.staged;
+      shard_options.recovery.fallback_to_unfused = false;
     }
+    for (int dispatch = 0; dispatch < kMaxDispatches; ++dispatch) {
+      std::shared_ptr<gpusim::FaultInjector> injector;
+      if (spec.injector_factory) injector = spec.injector_factory(i, dispatch);
+      shard_options.fault_injector = injector.get();
+      out.result = pipelines::solve(slice, params, backend, shard_options);
+      const robust::RecoveryReport& recovery = out.result.recovery;
+      ++out.slice.dispatches;
+      out.slice.recovery.attempts += recovery.attempts;
+      out.slice.recovery.faults_detected += recovery.faults_detected;
+      out.slice.recovery.fallback_used |= recovery.fallback_used;
+      out.slice.recovery.gave_up = recovery.gave_up;
+      if (!recovery.gave_up) break;
+    }
+    return out;
   };
+  const std::vector<ShardOutcome> shards =
+      exec::map_ordered(workers, count, run_shard);
 
-  exec::ThreadPool pool(workers);
-  pool.parallel_for(static_cast<std::size_t>(workers), worker_body);
-
-  // Rethrow the lowest-indexed shard failure, so error reporting does not
-  // depend on which worker hit it first.
-  for (const ShardSlot& slot : slots) {
-    if (slot.error) std::rethrow_exception(slot.error);
-  }
-  for (const ShardSlot& slot : slots) {
-    KSUM_CHECK(slot.has_result);
-  }
-
-  // Fixed-order tree merge over shard indexes (never completion order).
-  std::vector<ShardPiece> pieces;
-  pieces.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ShardPiece piece;
-    piece.index = i;
-    piece.begin = plan.ranges[i].begin;
-    piece.end = plan.ranges[i].end;
-    if (axis == ShardAxis::kM) {
-      const Vector& v = slots[i].result.v;
-      piece.rows.assign(v.data(), v.data() + v.size());
-    } else {
-      KSUM_CHECK(slots[i].staged.rows > 0 &&
-                 slots[i].staged.rows == slots[0].staged.rows);
-      piece.staged = std::move(slots[i].staged.data);
-      piece.staged_rows = slots[i].staged.rows;
-      piece.staged_cols = slots[i].staged.cols;
-    }
-    pieces.push_back(std::move(piece));
-  }
-  const ShardPiece root = merge_tree(axis, std::move(pieces));
-
+  // Merge in shard-index order. kM writes each shard's rows at its range.
+  // kN replays gpukernels::run_partial_reduce over the shards' staged
+  // columns: per row, a scalar accumulator starting at 0.0f folded over the
+  // column-CTA partials in ascending global index — the identical float
+  // additions in the identical order, hence bit-identical to the
+  // single-device run.
   pipelines::SolveResult out;
-  out.v = finalize_merge(axis, root, m);
+  out.v = Vector(m);
+  if (axis == ShardAxis::kM) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const Vector& rows = shards[i].result.v;
+      KSUM_CHECK(rows.size() == plan.ranges[i].size());
+      std::copy(rows.data(), rows.data() + rows.size(),
+                out.v.data() + plan.ranges[i].begin);
+    }
+  } else {
+    for (const ShardOutcome& shard : shards) {
+      KSUM_CHECK(shard.staged.rows >= m && shard.staged.cols > 0 &&
+                 shard.staged.data.size() ==
+                     shard.staged.rows * shard.staged.cols);
+    }
+    for (std::size_t row = 0; row < m; ++row) {
+      float sum = 0.0f;
+      for (const ShardOutcome& shard : shards) {
+        const float* partials =
+            shard.staged.data.data() + row * shard.staged.cols;
+        for (std::size_t j = 0; j < shard.staged.cols; ++j) {
+          sum += partials[j];
+        }
+      }
+      out.v[row] = sum;
+    }
+  }
 
   // Merged report: kernels concatenated in shard order (names prefixed
   // "s<i>/"), event counters and energy summed, modelled wall time the max
@@ -295,9 +172,8 @@ pipelines::SolveResult run_sharded(const workload::Instance& instance,
   merged.k = k;
   bool checks_enabled = true;
   for (std::size_t i = 0; i < count; ++i) {
-    const ShardSlot& slot = slots[i];
-    KSUM_CHECK(slot.result.report.has_value());
-    const pipelines::PipelineReport& rep = *slot.result.report;
+    KSUM_CHECK(shards[i].result.report.has_value());
+    const pipelines::PipelineReport& rep = *shards[i].result.report;
     for (const pipelines::KernelReport& kr : rep.kernels) {
       merged.kernels.push_back(kr);
       std::string name = "s";
@@ -328,12 +204,12 @@ pipelines::SolveResult run_sharded(const workload::Instance& instance,
   ShardReport shard_report;
   shard_report.axis = axis;
   shard_report.workers = workers;
-  for (std::size_t i = 0; i < count; ++i) {
-    out.recovery.attempts += slots[i].slice.recovery.attempts;
-    out.recovery.faults_detected += slots[i].slice.recovery.faults_detected;
-    out.recovery.fallback_used |= slots[i].slice.recovery.fallback_used;
-    out.recovery.gave_up |= slots[i].slice.recovery.gave_up;
-    shard_report.slices.push_back(slots[i].slice);
+  for (const ShardOutcome& shard : shards) {
+    out.recovery.attempts += shard.slice.recovery.attempts;
+    out.recovery.faults_detected += shard.slice.recovery.faults_detected;
+    out.recovery.fallback_used |= shard.slice.recovery.fallback_used;
+    out.recovery.gave_up |= shard.slice.recovery.gave_up;
+    shard_report.slices.push_back(shard.slice);
   }
   out.shards = std::move(shard_report);
   return out;

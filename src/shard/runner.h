@@ -1,17 +1,15 @@
-// Master/worker execution of a sharded solve (docs/SHARDING.md §Runner).
+// Execution of a sharded solve (docs/SHARDING.md §Runner): plan, run,
+// merge.
 //
-// The runner materialises the shard plan, slices the instance, and drives
-// the shards through an exec::ThreadPool via a task queue: workers pull
-// (shard, dispatch) tasks with next_task, run each shard as an ordinary
-// pipelines::solve on their own warm Device, and report completion with
-// task_done. A shard whose own recovery gave up (every retry and fallback
-// still flagged by the ABFT checks) is re-dispatched — handed back to the
-// queue with the failing worker banned, so the retry preferentially lands
-// on a different worker/device (straggler and sticky-fault tolerance); the
-// failing worker may only reclaim it when it is the only worker. After all
-// shards complete, the per-shard results are merged with the fixed-order
-// tree of shard/merge.h, so the output is bit-identical for every worker
-// count and completion order.
+// The runner plans the shards, then runs them with exec::map_ordered on
+// `workers` threads. Each shard slices its own sub-instance, builds its own
+// warm Device and runs as an ordinary pipelines::solve. A shard whose own
+// recovery gave up (every retry and fallback still flagged by the ABFT
+// checks) runs once more with its dispatch-1 injector; two runs is the
+// limit. The merge then walks the shards in index order: kM writes each
+// shard's V rows at its range, kN replays the device's ascending
+// column-CTA fold over the shards' staged partials. The output is
+// bit-identical for every worker count and completion order.
 #pragma once
 
 #include "pipelines/solver.h"
@@ -26,7 +24,9 @@ namespace ksum::shard {
 /// pipelines::solve — `options.mainloop.geometry` must already be the
 /// resolved geometry of the full problem, and `backend` must be one of the
 /// simulated backends. Throws ksum::Error when `options.fault_injector` is
-/// set (sharded runs take ShardSpec::injector_factory).
+/// set (sharded runs take ShardSpec::injector_factory), and
+/// exec::Cancelled once `options.cancel` reads cancelled: no shard starts
+/// after that.
 pipelines::SolveResult run_sharded(const workload::Instance& instance,
                                    const core::KernelParams& params,
                                    pipelines::Backend backend,

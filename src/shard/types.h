@@ -13,7 +13,7 @@
 //        The fused kernel's staged (non-atomic) reduction makes that
 //        possible: shards run with atomic_reduction=false, export their
 //        per-column-CTA staging partials, and the host merge replays the
-//        device's own ascending-column-CTA fold (see shard/merge.h).
+//        device's own ascending-column-CTA fold (see shard/runner.h).
 //
 // This header is included by pipelines/pipeline.h (RunOptions::shards), so
 // it must stay dependency-light: no pipeline or device includes beyond the
@@ -41,12 +41,12 @@ enum class ShardAxis {
 std::string to_string(ShardAxis axis);
 
 /// Per-shard fault-injector source for sharded runs. Called once per
-/// dispatch of a shard (dispatch 0 = first hand-out, 1.. = re-dispatches
-/// after a shard gave up) from the worker thread that runs it; must be
-/// thread-safe. Returning nullptr runs that dispatch fault-free — the
-/// natural model for "the retry lands on a device without this fault".
-/// The runner keeps the returned injector alive for exactly that one
-/// pipeline execution.
+/// dispatch of a shard (dispatch 0 = its first run, 1 = the one re-run
+/// after the shard's recovery gave up) from the worker thread that runs
+/// it; must be thread-safe. Returning nullptr runs that dispatch
+/// fault-free — the natural model for "the retry lands on a device without
+/// this fault". The runner keeps the returned injector alive for exactly
+/// that one pipeline execution.
 using ShardInjectorFactory =
     std::function<std::shared_ptr<gpusim::FaultInjector>(std::size_t shard,
                                                          int dispatch)>;
@@ -60,14 +60,10 @@ struct ShardSpec {
   /// CTA-aligned blocks along the chosen axis.
   std::size_t count = 1;
   ShardAxis axis = ShardAxis::kAuto;
-  /// Worker threads (each with its own warm Device). 0 = one per shard.
-  /// Results are bit-identical for every worker count.
+  /// Worker threads, each running one shard at a time on that shard's own
+  /// warm Device. 0 = one per shard. Results are bit-identical for every
+  /// worker count.
   int workers = 0;
-  /// Total hand-outs allowed per shard: 1 initial dispatch plus
-  /// re-dispatches after the shard's own recovery gave up. The re-dispatch
-  /// preferentially lands on a different worker (straggler/fault
-  /// tolerance); see shard/runner.h.
-  int max_dispatches = 2;
   /// Optional per-(shard, dispatch) fault injectors. Sharded runs reject a
   /// plain RunOptions::fault_injector — one injector cannot describe which
   /// device the fault lives on.
@@ -78,8 +74,8 @@ struct ShardSpec {
 
 /// Host-side copy of the fused kernel's staging buffer: one partial V value
 /// per (row, column-CTA) pair, row-major `rows × cols`, downloaded when
-/// RunOptions::capture_staged_partials is set. The merge layer replays the
-/// device's reduction fold over these (merge.h).
+/// RunOptions::capture_staged_partials is set. The shard merge replays the
+/// device's reduction fold over these (runner.h).
 struct StagedPartials {
   std::size_t rows = 0;  // padded M of the run
   std::size_t cols = 0;  // grid.x — column CTAs
@@ -91,7 +87,7 @@ struct ShardSliceReport {
   std::size_t index = 0;
   std::size_t begin = 0;  // element range along the shard axis
   std::size_t end = 0;
-  /// Hand-outs this shard consumed (1 = clean single dispatch).
+  /// Runs this shard consumed: 1, or 2 when its first run gave up.
   int dispatches = 1;
   /// Recovery outcome of the *last* dispatch, with attempts/faults summed
   /// over every dispatch of this shard.

@@ -7,9 +7,11 @@
 #include <cmath>
 #include <string>
 
+#include "exec/thread_pool.h"
 #include "gpusim/device.h"
 #include "pipelines/admission.h"
 #include "pipelines/batch.h"
+#include "shard/plan.h"
 
 namespace ksum {
 namespace {
@@ -112,20 +114,83 @@ TEST(Admission, RefusalClasses) {
   EXPECT_NE(refusal(shape(65536, 65536, 8), Backend::kSimCudaUnfused, two)
                 .find("each of the 2 shards"),
             std::string::npos);
-  // The same shape fits once --shards=auto picks the count.
+  // The same shape fits once --shards=auto picks the count. One worker
+  // keeps one shard's device in host memory at a time, so the host-memory
+  // rule admits it on any machine.
   RunOptions autoshard;
   autoshard.shards.count = 0;
+  autoshard.shards.workers = 1;
   EXPECT_LE(pipelines::admit(shape(65536, 65536, 8),
                              Backend::kSimCudaUnfused, autoshard),
             autoshard.device.shard_arena_bytes);
-  // The per-device arena is the profile's: a bigger board admits more.
+  // The per-device arena is the profile's: a bigger board admits more. The
+  // shape's 1 GiB intermediate is over the default arena, yet small enough
+  // for host memory.
   RunOptions big_board;
   big_board.device.shard_arena_bytes = std::size_t{1} << 40;
-  EXPECT_NO_THROW(pipelines::admit(shape(65536, 65536, 8),
+  EXPECT_NE(refusal(shape(16384, 16384, 8), Backend::kSimCudaUnfused)
+                .find("per-device arena"),
+            std::string::npos);
+  EXPECT_NO_THROW(pipelines::admit(shape(16384, 16384, 8),
                                    Backend::kSimCudaUnfused, big_board));
   EXPECT_THROW(pipelines::admit_knn(shape(kTwo32, kTwo32, 8),
                                     pipelines::KnnSolution::kFused, 8, {}),
                Error);
+}
+
+// Host bytes of an (m, n, k) instance: A, B and W in floats.
+std::size_t instance_bytes(std::size_t m, std::size_t n, std::size_t k) {
+  return (m * k + k * n + n) * 4;
+}
+
+// The host bytes a refusal reports holding.
+std::size_t refused_host_bytes(const workload::ProblemSpec& spec,
+                               const RunOptions& options) {
+  const std::string message = refusal(spec, Backend::kSimFused, options);
+  const std::size_t at = message.find(" holds ");
+  EXPECT_NE(message.find("bytes of host memory"), std::string::npos)
+      << message;
+  if (at == std::string::npos) return 0;
+  return std::stoull(message.substr(at + 7));
+}
+
+// A sharded request holds its instance plus, on each worker, one shard:
+// the largest slice (and its zero-padded copy when ragged) and the shard's
+// device arena. An M shard replicates B (k×n), so with N = 2^25 the 1.1 GiB
+// instance grows to about 2.4 GiB per worker: hundreds of GiB in all, over
+// the memory of any machine that holds the instance, and the refusal
+// reports the count. The arena is raised so that every shard fits its
+// device and only host memory refuses.
+TEST(Admission, HostBytesCountLiveShardSlices) {
+  const std::size_t n = std::size_t{1} << 25;
+  RunOptions options;
+  options.device.shard_arena_bytes = std::size_t{1} << 32;
+  options.shards.axis = shard::ShardAxis::kM;
+  options.shards.count = 256;
+  options.shards.workers = 200;
+  const std::size_t m = 256 * 128;
+  const shard::ShardPlan plan =
+      shard::plan_shards(m, n, 8, options, pipelines::Solution::kFused);
+  ASSERT_EQ(plan.count(), 256u);
+  const std::size_t rows = plan.ranges.front().size();
+  EXPECT_EQ(refused_host_bytes(shape(m, n, 8), options),
+            instance_bytes(m, n, 8) +
+                200 * (instance_bytes(rows, n, 8) + plan.arena_bytes));
+
+  // One worker per shard by default, capped at the pool's thread limit. A
+  // ragged N makes every shard pad its slice.
+  options.shards.count = 300;
+  options.shards.workers = 0;
+  const std::size_t tall = 300 * 128;
+  const shard::ShardPlan ragged = shard::plan_shards(
+      tall, n + 2, 8, options, pipelines::Solution::kFused);
+  ASSERT_EQ(ragged.count(), 300u);
+  const std::size_t slice = ragged.ranges.front().size();
+  EXPECT_EQ(refused_host_bytes(shape(tall, n + 2, 8), options),
+            instance_bytes(tall, n + 2, 8) +
+                std::size_t{exec::ThreadPool::kMaxThreads} *
+                    (instance_bytes(slice, n + 2, 8) +
+                     instance_bytes(slice, n + 128, 8) + ragged.arena_bytes));
 }
 
 TEST(Execute, RefusedRequestIsInvalidAndNeverRuns) {

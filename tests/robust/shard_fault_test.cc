@@ -45,7 +45,7 @@ TEST(ShardFaultTest, FaultInOneShardLocalizesAndRecovers) {
             gpusim::FaultSite::kAtomicDrop, 0.5));
   };
   options.recovery.enabled = true;
-  options.recovery.max_retries = 0;  // exercise the cross-device re-dispatch
+  options.recovery.max_retries = 0;  // exercise the re-dispatch
   options.recovery.fallback_to_unfused = false;
   const auto run =
       pipelines::solve(instance, params, Backend::kSimFused, options);

@@ -1,5 +1,6 @@
 // Server control plane: admission, deadlines, shedding, degradation,
 // warm-device reply identity, and the ksum-serve-v1 stats record.
+#include <chrono>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -377,6 +378,27 @@ TEST(Server, OversizedShapeShardsWhenAllowed) {
       instance, core::params_from_spec(spec), pipelines::Backend::kSimFused);
   EXPECT_EQ(reply.at("digest").as_string(),
             serve::digest_hex(direct.v.span()));
+}
+
+TEST(Server, HugeOversizedShapeIsRefusedAtOnce) {
+  // The shard count an oversized shape needs is a closed form, so intake
+  // answers an M of 10^15 at once, and the next line is served as quickly.
+  serve::ServerOptions opts;
+  opts.workers = 1;
+  opts.max_shards = 4;
+  Harness h(opts);
+  h.server->start();
+  const auto start = std::chrono::steady_clock::now();
+  h.server->handle_line(solve_line("huge", 1000000000000000, 128, 8));
+  h.server->handle_line(R"({"op":"health","id":"h"})");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  h.server->drain();
+
+  const auto lines = h.log->snapshot();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(reply_for(lines, "huge").at("status").as_string(), "invalid");
+  EXPECT_EQ(reply_for(lines, "h").at("state").as_string(), "serving");
 }
 
 TEST(Server, InBoundsRepliesOmitShardsField) {

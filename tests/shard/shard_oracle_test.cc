@@ -10,7 +10,6 @@
 
 #include "pipelines/solver.h"
 #include "robust/fault_plan.h"
-#include "shard/merge.h"
 #include "shard/plan.h"
 #include "shard/runner.h"
 #include "workload/point_generators.h"

@@ -1,5 +1,7 @@
 // Planner unit tests: block-aligned cuts, even partition with ragged tail,
 // auto axis/count selection, and the admission-side helper.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "shard/plan.h"
@@ -103,6 +105,30 @@ TEST(ShardPlanTest, MinShardsForLimit) {
   EXPECT_EQ(shard::min_shards_for_limit(1000, 128, 100), 0u);
   // Small dim fits as one shard even under one block.
   EXPECT_EQ(shard::min_shards_for_limit(100, 128, 100), 1u);
+
+  // The closed form answers what a scan over every count answers.
+  const auto scan = [](std::size_t dim, std::size_t align,
+                       std::size_t limit) -> std::size_t {
+    const std::size_t blocks = (dim + align - 1) / align;
+    for (std::size_t c = 1; c <= blocks; ++c) {
+      if (std::min(dim, (blocks + c - 1) / c * align) <= limit) return c;
+    }
+    return 0;
+  };
+  for (std::size_t align : {1u, 3u, 8u, 128u}) {
+    for (std::size_t dim = 1; dim <= 600; dim += 7) {
+      for (std::size_t limit = 0; limit <= 700; limit += 13) {
+        EXPECT_EQ(shard::min_shards_for_limit(dim, align, limit),
+                  scan(dim, align, limit))
+            << "dim=" << dim << " align=" << align << " limit=" << limit;
+      }
+    }
+  }
+  // A 2^60 axis is answered at once, not by a scan over 2^53 counts.
+  const std::size_t huge = std::size_t{1} << 60;
+  EXPECT_EQ(shard::min_shards_for_limit(huge, 128, 1024), huge / 1024);
+  EXPECT_EQ(shard::min_shards_for_limit(huge, 128, huge / 4), 4u);
+  EXPECT_EQ(shard::min_shards_for_limit(huge, 128, 64), 0u);
 }
 
 }  // namespace

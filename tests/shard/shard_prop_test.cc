@@ -1,6 +1,6 @@
 // Property tests of the shard layer (tests/common/prop.h): shard-count
-// invariance over random shapes (including ragged last shards), merge
-// associativity under the fixed tree order, and slice fidelity.
+// invariance over random shapes (including ragged last shards) and slice
+// fidelity.
 #include <cstring>
 #include <numeric>
 
@@ -8,7 +8,6 @@
 
 #include "common/prop.h"
 #include "pipelines/solver.h"
-#include "shard/merge.h"
 #include "shard/runner.h"
 #include "workload/point_generators.h"
 
@@ -18,7 +17,6 @@ namespace {
 using pipelines::Backend;
 using pipelines::RunOptions;
 using shard::ShardAxis;
-using shard::ShardPiece;
 
 struct ShardCase {
   workload::Instance instance;
@@ -66,70 +64,6 @@ TEST(ShardPropTest, ShardCountInvariance) {
         if (oracle.v.size() != sharded.v.size()) return false;
         return std::memcmp(oracle.v.data(), sharded.v.data(),
                            oracle.v.size() * sizeof(float)) == 0;
-      });
-}
-
-struct MergeCase {
-  ShardAxis axis = ShardAxis::kM;
-  std::vector<ShardPiece> pieces;
-  std::size_t total = 0;       // elements along the axis
-  std::size_t staged_rows = 0; // kN only
-};
-
-MergeCase make_merge_case(prop::Gen& gen, std::size_t scale) {
-  MergeCase c;
-  c.axis = gen.int_in(0, 1) == 0 ? ShardAxis::kM : ShardAxis::kN;
-  const std::size_t pieces = gen.size_in(1, 8);
-  c.staged_rows = gen.size_in(1, 16);
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < pieces; ++i) {
-    ShardPiece p;
-    p.index = i;
-    p.begin = begin;
-    p.end = begin + gen.size_in(1, std::max<std::size_t>(scale / 8, 1));
-    if (c.axis == ShardAxis::kM) {
-      p.rows.resize(p.end - p.begin);
-      for (float& v : p.rows) v = gen.float_in(-4.0f, 4.0f);
-    } else {
-      p.staged_rows = c.staged_rows;
-      p.staged_cols = p.end - p.begin;
-      p.staged.resize(p.staged_rows * p.staged_cols);
-      for (float& v : p.staged) v = gen.float_in(-4.0f, 4.0f);
-    }
-    begin = p.end;
-    c.pieces.push_back(std::move(p));
-  }
-  c.total = begin;
-  return c;
-}
-
-// Tree-merge associativity: the fixed binary tree and a plain left fold
-// assemble the same bytes (concatenation is associative; the only float
-// arithmetic happens in finalize, after assembly).
-TEST(ShardPropTest, TreeMergeMatchesLeftFold) {
-  prop::Config config;
-  config.iterations = 12;
-  config.max_scale = 256;
-  prop::check(
-      "tree-merge-associativity", config,
-      [](prop::Gen& gen, std::size_t scale) {
-        return make_merge_case(gen, scale);
-      },
-      [](const MergeCase& c) {
-        const ShardPiece tree = shard::merge_tree(c.axis, c.pieces);
-        ShardPiece fold = c.pieces.front();
-        for (std::size_t i = 1; i < c.pieces.size(); ++i) {
-          fold = shard::merge_pair(c.axis, fold, c.pieces[i]);
-        }
-        if (c.axis == ShardAxis::kM) {
-          return tree.rows == fold.rows;
-        }
-        const std::size_t rows =
-            c.axis == ShardAxis::kN ? c.staged_rows : 0;
-        const Vector a = shard::finalize_merge(c.axis, tree, rows);
-        const Vector b = shard::finalize_merge(c.axis, fold, rows);
-        return tree.staged == fold.staged &&
-               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
       });
 }
 

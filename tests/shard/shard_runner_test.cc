@@ -1,7 +1,8 @@
 // Runner semantics: per-shard fault injection, localized retries, the
-// banned-worker re-dispatch, and give-up propagation (docs/SHARDING.md
-// §Runner). These are the deterministic single-process versions of the
-// shard fault campaign (bench/fault_campaign.cc, experiment 4).
+// one re-dispatch of a shard whose recovery gave up, and give-up
+// propagation (docs/SHARDING.md §Runner). These are the deterministic
+// single-process versions of the shard fault campaign
+// (bench/fault_campaign.cc, experiment 4).
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -103,7 +104,6 @@ TEST(ShardRunnerTest, PersistentFaultExhaustsDispatchesAndGivesUp) {
   RunOptions options;
   options.shards.count = 3;
   options.shards.axis = ShardAxis::kM;
-  options.shards.max_dispatches = 2;
   // Shard 1 is faulty on every dispatch — no device is safe.
   options.shards.injector_factory =
       [](std::size_t s, int d) -> std::shared_ptr<gpusim::FaultInjector> {
@@ -184,6 +184,34 @@ TEST(ShardRunnerTest, NAxisShardsKeepRecoveryWithoutFallback) {
   EXPECT_FALSE(run.shards->slices[3].recovery.fallback_used);
   EXPECT_FALSE(run.recovery.gave_up);
   EXPECT_TRUE(bitwise_equal(oracle.v, run.v));
+}
+
+// A request cancelled while shard 0 runs starts no further shard: the
+// factory, called once per dispatch a shard starts, is never asked for
+// shards 1..3, and the token's own reason reaches the caller.
+TEST(ShardRunnerTest, CancelledRequestStartsNoFurtherShard) {
+  const core::KernelParams params;
+  const workload::Instance instance = make_case(512, 256, 16, 5);
+  exec::CancelToken cancel;
+  int dispatches = 0;
+  RunOptions options;
+  options.cancel = &cancel;
+  options.shards.count = 4;
+  options.shards.axis = ShardAxis::kM;
+  options.shards.workers = 1;
+  options.shards.injector_factory =
+      [&](std::size_t, int) -> std::shared_ptr<gpusim::FaultInjector> {
+    ++dispatches;
+    cancel.cancel();
+    return nullptr;
+  };
+  try {
+    pipelines::solve(instance, params, Backend::kSimFused, options);
+    FAIL() << "a cancelled sharded solve returned";
+  } catch (const exec::Cancelled& e) {
+    EXPECT_STREQ(e.what(), "ksum: request cancelled");
+  }
+  EXPECT_EQ(dispatches, 1);
 }
 
 }  // namespace
