@@ -69,15 +69,6 @@ double rel_error(const Vector& v, const Vector& oracle) {
   return blas::max_rel_diff(v.span(), oracle.span(), 1e-3);
 }
 
-int bench_threads() {
-  const char* env = std::getenv("KSUM_BENCH_THREADS");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n >= 1 && n <= exec::ThreadPool::kMaxThreads) return n;
-  }
-  return exec::ThreadPool::hardware_threads();
-}
-
 // What one detection-coverage trial observed; the fold into counters
 // happens on the main thread, in trial order.
 struct TrialOutcome {
@@ -119,7 +110,7 @@ int main() {
   coverage.header({"site", "pipeline", "rate", "faulty runs", "detected",
                    "coverage", "harmful", "silent harm", "false pos"});
 
-  exec::ThreadPool pool(bench_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_BENCH_THREADS"));
   int atomic_faulty = 0, atomic_detected = 0;
   int clean_flagged = 0;
   for (const SiteSetup& setup : sites) {
@@ -247,7 +238,7 @@ int main() {
     pipelines::RunOptions options;
     options.shards.count = 4;
     options.shards.axis = shard::ShardAxis::kM;
-    options.shards.workers = bench_threads();
+    options.shards.workers = exec::env_threads("KSUM_BENCH_THREADS");
     // Rate 0.5 rather than 1.0: dropping every atomicAdd would zero the
     // checksum path too and pass the check; 0.5 decorrelates the paths.
     options.shards.injector_factory =

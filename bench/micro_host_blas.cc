@@ -46,19 +46,6 @@ void BM_SgemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmBlocked)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_SgemmParallel(benchmark::State& state) {
-  const auto n = std::size_t(state.range(0));
-  Matrix a = random_matrix(n, n, Layout::kRowMajor, 1);
-  Matrix b = random_matrix(n, n, Layout::kColMajor, 2);
-  Matrix c(n, n, Layout::kRowMajor);
-  for (auto _ : state) {
-    blas::sgemm_parallel(1.0f, a, b, 0.0f, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(2 * n * n * n));
-}
-BENCHMARK(BM_SgemmParallel)->Arg(128)->Arg(256);
-
 void BM_Sgemv(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));
   Matrix a = random_matrix(n, n, Layout::kRowMajor, 3);

@@ -22,7 +22,6 @@
 // (schema ksum-bench-v1, one point whose pipelines are the sharding
 // configurations: "unsharded", "m_shards2", ..., "n_shards8").
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -41,15 +40,6 @@ namespace {
 using namespace ksum;
 
 constexpr std::size_t kM = 1024, kN = 1024, kK = 16;
-
-int bench_threads() {
-  const char* env = std::getenv("KSUM_BENCH_THREADS");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n >= 1 && n <= exec::ThreadPool::kMaxThreads) return n;
-  }
-  return exec::ThreadPool::hardware_threads();
-}
 
 struct ConfigResult {
   std::string name;  // pipelines key in the bench record
@@ -93,7 +83,7 @@ int main() {
       pipelines::RunOptions options;
       options.shards.count = count;
       options.shards.axis = axis;
-      options.shards.workers = bench_threads();
+      options.shards.workers = exec::env_threads("KSUM_BENCH_THREADS");
       ConfigResult cfg;
       cfg.axis = shard::to_string(axis);
       cfg.name = cfg.axis + "_shards" + std::to_string(count);

@@ -39,15 +39,6 @@ namespace {
 
 using namespace ksum;
 
-int bench_threads() {
-  const char* env = std::getenv("KSUM_BENCH_THREADS");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n >= 1 && n <= exec::ThreadPool::kMaxThreads) return n;
-  }
-  return exec::ThreadPool::hardware_threads();
-}
-
 // The seeded request mix. Index-derived, so every replay (and every worker
 // count) sees the identical byte stream.
 std::vector<std::string> make_trace(std::size_t count) {
@@ -136,7 +127,7 @@ std::string latency_cell(const profile::Json& record, const char* which,
 int main() {
   const bool fast = std::getenv("KSUM_BENCH_FAST") != nullptr;
   const std::size_t trace_size = fast ? 48 : 200;
-  const int many = std::max(2, bench_threads());
+  const int many = std::max(2, exec::env_threads("KSUM_BENCH_THREADS"));
   bool pass = true;
 
   // ---- 1. Admission: deterministic shedding ------------------------------

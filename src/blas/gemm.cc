@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/math_util.h"
+#include "exec/thread_pool.h"
 
 namespace ksum::blas {
 namespace {
@@ -145,26 +146,26 @@ void sgemm_blocked(float alpha, const Matrix& a, const Matrix& b, float beta,
                    Matrix& c) {
   check_gemm_shapes(a, b, c);
   scale_c(beta, c);
-  gemm_block_range(alpha, a, b, c, 0, c.rows());
-}
-
-void sgemm_parallel(float alpha, const Matrix& a, const Matrix& b, float beta,
-                    Matrix& c) {
-  check_gemm_shapes(a, b, c);
-  scale_c(beta, c);
   const std::size_t m = c.rows();
-#if defined(KSUM_HAVE_OPENMP)
-  const std::size_t chunk = round_up(ceil_div<std::size_t>(m, 8), kMc);
-#pragma omp parallel for schedule(dynamic, 1)
-  for (long long start = 0; start < static_cast<long long>(m);
-       start += static_cast<long long>(chunk)) {
-    const auto row_begin = static_cast<std::size_t>(start);
-    const std::size_t row_end = std::min(m, row_begin + chunk);
-    gemm_block_range(alpha, a, b, c, row_begin, row_end);
+  // At most 8 row panels of whole kMc blocks. A panel only decides which
+  // worker writes a row: each C element still accumulates its K products in
+  // the same order, so C is bit-identical at any thread count.
+  const std::size_t chunk =
+      std::max(kMc, round_up(ceil_div<std::size_t>(m, 8), kMc));
+  const std::size_t panels = ceil_div(m, chunk);
+  static const int host_threads = exec::env_threads("OMP_NUM_THREADS");
+  if (panels <= 1 || host_threads == 1 ||
+      exec::ThreadPool::on_worker_thread()) {
+    gemm_block_range(alpha, a, b, c, 0, m);
+    return;
   }
-#else
-  gemm_block_range(alpha, a, b, c, 0, m);
-#endif
+  exec::ThreadPool pool(static_cast<int>(
+      std::min(panels, static_cast<std::size_t>(host_threads))));
+  pool.parallel_for(panels, [&](std::size_t panel) {
+    const std::size_t row_begin = panel * chunk;
+    gemm_block_range(alpha, a, b, c, row_begin,
+                     std::min(m, row_begin + chunk));
+  });
 }
 
 }  // namespace ksum::blas

@@ -1,14 +1,13 @@
 // Host single-precision GEMM: C = alpha · A·B + beta · C.
 //
 // A is M×K row major, B is K×N column major, C is M×N row major — the
-// operand layouts of the paper's Algorithm 1. Three implementations:
+// operand layouts of the paper's Algorithm 1. Two implementations:
 //
-//  * sgemm_naive    — triple loop; the correctness oracle for everything else.
-//  * sgemm_blocked  — cache-blocked with a small register micro-kernel; the
-//                     default host path.
-//  * sgemm_parallel — sgemm_blocked with OpenMP over row panels (falls back
-//                     to the serial blocked version when built without
-//                     OpenMP).
+//  * sgemm_naive   — triple loop; the correctness oracle for everything else.
+//  * sgemm_blocked — cache-blocked with a small register micro-kernel; the
+//                    host path. Runs its row panels on an exec::ThreadPool of
+//                    up to OMP_NUM_THREADS workers (default: every hardware
+//                    thread), serially when called on a pool worker.
 #pragma once
 
 #include "common/matrix.h"
@@ -27,8 +26,5 @@ void sgemm_naive(float alpha, const Matrix& a, const Matrix& b, float beta,
 
 void sgemm_blocked(float alpha, const Matrix& a, const Matrix& b, float beta,
                    Matrix& c);
-
-void sgemm_parallel(float alpha, const Matrix& a, const Matrix& b, float beta,
-                    Matrix& c);
 
 }  // namespace ksum::blas

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <span>
@@ -34,11 +35,13 @@ class AlignedBuffer {
   }
 
   AlignedBuffer(AlignedBuffer&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
+      : block_(std::exchange(other.block_, nullptr)),
+        data_(std::exchange(other.data_, nullptr)),
         size_(std::exchange(other.size_, 0)) {}
   AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
     if (this != &other) {
       release();
+      block_ = std::exchange(other.block_, nullptr);
       data_ = std::exchange(other.data_, nullptr);
       size_ = std::exchange(other.size_, 0);
     }
@@ -52,10 +55,16 @@ class AlignedBuffer {
   void resize(std::size_t n) {
     release();
     if (n == 0) return;
-    void* p = std::aligned_alloc(kBufferAlignment,
-                                 round_up_bytes(n * sizeof(T)));
-    if (p == nullptr) throw std::bad_alloc();
-    data_ = static_cast<T*>(p);
+    if (n > (SIZE_MAX - 2 * kBufferAlignment) / sizeof(T)) {
+      throw std::bad_alloc();
+    }
+    // Not aligned_alloc: glibc's asks the heap for more than size plus
+    // alignment, so a freed buffer's chunk never fits the next buffer of the
+    // same size and a loop of same-size buffers keeps growing the heap.
+    block_ = std::malloc(round_up_bytes(n * sizeof(T)) + kBufferAlignment);
+    if (block_ == nullptr) throw std::bad_alloc();
+    data_ = reinterpret_cast<T*>(
+        round_up_bytes(reinterpret_cast<std::uintptr_t>(block_)));
     size_ = n;
     for (std::size_t i = 0; i < n; ++i) data_[i] = T{};
   }
@@ -93,11 +102,13 @@ class AlignedBuffer {
   }
 
   void release() noexcept {
-    std::free(data_);
+    std::free(block_);
+    block_ = nullptr;
     data_ = nullptr;
     size_ = 0;
   }
 
+  void* block_ = nullptr;  // the malloc'd block; data_ is aligned inside it
   T* data_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -64,7 +64,7 @@ Vector solve_expansion(const workload::Instance& instance,
   // C = A·B (line 10); kernel evaluation on R = squareA + squareB − 2C
   // (lines 11–14), fused here into one elementwise pass over C.
   Matrix kmat(m, n, Layout::kRowMajor);
-  blas::sgemm_parallel(1.0f, a, b, 0.0f, kmat);
+  blas::sgemm_blocked(1.0f, a, b, 0.0f, kmat);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       const float dot = kmat.at(i, j);

@@ -1,8 +1,17 @@
 #include "exec/thread_pool.h"
 
+#include <charconv>
+#include <cstdlib>
+#include <cstring>
+
 #include "common/error.h"
 
 namespace ksum::exec {
+namespace {
+
+thread_local bool t_on_worker = false;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int threads) {
   KSUM_REQUIRE(threads >= 1 && threads <= kMaxThreads,
@@ -26,6 +35,22 @@ ThreadPool::~ThreadPool() {
 int ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
+}
+
+bool ThreadPool::on_worker_thread() { return t_on_worker; }
+
+int env_threads(const char* name) {
+  const char* value = std::getenv(name);
+  if (value != nullptr) {
+    const char* end = value + std::strlen(value);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, n);
+    if (ec == std::errc() && ptr == end && n >= 1 &&
+        n <= ThreadPool::kMaxThreads) {
+      return n;
+    }
+  }
+  return ThreadPool::hardware_threads();
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -61,6 +86,7 @@ void ThreadPool::parallel_for(std::size_t count,
 }
 
 void ThreadPool::worker_loop() {
+  t_on_worker = true;
   std::uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(std::size_t)>* body = nullptr;

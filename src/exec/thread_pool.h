@@ -66,6 +66,11 @@ class ThreadPool {
   /// tools use for --threads=auto style defaults).
   static int hardware_threads();
 
+  /// True on a thread some ThreadPool runs as a worker, false elsewhere.
+  /// Work that could fan out again (the host GEMM) runs serially when it
+  /// holds, so pools never nest.
+  static bool on_worker_thread();
+
  private:
   void worker_loop();
 
@@ -89,5 +94,10 @@ class ThreadPool {
   std::exception_ptr error_;
   std::size_t error_index_ = 0;
 };
+
+/// The thread count named by environment variable `name`: its value when
+/// that is an integer in [1, ThreadPool::kMaxThreads], else
+/// ThreadPool::hardware_threads().
+int env_threads(const char* name);
 
 }  // namespace ksum::exec

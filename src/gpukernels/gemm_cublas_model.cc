@@ -62,7 +62,7 @@ gpusim::LaunchResult run_gemm_cublas_model(gpusim::Device& device,
   device.memory().download(a, host_a.span());
   device.memory().download(b, host_b.span());
   Matrix host_c(m, n, Layout::kRowMajor);
-  blas::sgemm_parallel(1.0f, host_a, host_b, 0.0f, host_c);
+  blas::sgemm_blocked(1.0f, host_a, host_b, 0.0f, host_c);
 
   auto program = [&](gpusim::BlockContext& ctx) {
     const std::size_t row_base = static_cast<std::size_t>(ctx.by()) * kTileM;

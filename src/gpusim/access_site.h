@@ -50,7 +50,8 @@ struct AccessSite {
 
 /// Process-wide site table. Interning is cheap and happens once per site
 /// (guarded by a function-local static at the macro expansion); lookups are
-/// index reads. Guarded by a mutex so OpenMP'd hosts stay safe.
+/// index reads. Guarded by a mutex because pool workers intern sites
+/// concurrently.
 class SiteRegistry {
  public:
   static SiteRegistry& instance();

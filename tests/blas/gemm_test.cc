@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "blas/vector_ops.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 
 namespace ksum::blas {
 namespace {
@@ -87,15 +90,25 @@ TEST_P(GemmAgreementTest, BlockedMatchesNaive) {
   EXPECT_LT(max_rel_diff(out.span(), ref.span(), 1e-3), gemm_tolerance(k));
 }
 
-TEST_P(GemmAgreementTest, ParallelMatchesNaive) {
+// On a pool worker sgemm_blocked takes its serial path; it must still agree
+// with the oracle and match the calling-thread result bit for bit.
+TEST_P(GemmAgreementTest, OnPoolWorkerMatchesNaive) {
   const auto [m, n, k] = GetParam();
   Matrix a = random_matrix(m, k, Layout::kRowMajor, 30 + m);
   Matrix b = random_matrix(k, n, Layout::kColMajor, 40 + n);
   Matrix ref(m, n, Layout::kRowMajor);
-  Matrix out(m, n, Layout::kRowMajor);
+  Matrix caller(m, n, Layout::kRowMajor);
+  Matrix worker(m, n, Layout::kRowMajor);
   sgemm_naive(1.0f, a, b, 0.0f, ref);
-  sgemm_parallel(1.0f, a, b, 0.0f, out);
-  EXPECT_LT(max_rel_diff(out.span(), ref.span(), 1e-3), gemm_tolerance(k));
+  sgemm_blocked(1.0f, a, b, 0.0f, caller);
+  exec::ThreadPool pool(1);
+  pool.parallel_for(1, [&](std::size_t) {
+    sgemm_blocked(1.0f, a, b, 0.0f, worker);
+  });
+  EXPECT_LT(max_rel_diff(worker.span(), ref.span(), 1e-3), gemm_tolerance(k));
+  EXPECT_EQ(std::memcmp(worker.data(), caller.data(),
+                        worker.span().size() * sizeof(float)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -116,6 +129,24 @@ TEST(GemmTest, AccumulateWithBetaOne) {
   sgemm_naive(1.0f, a, b, 1.0f, ref);
   sgemm_blocked(1.0f, a, b, 1.0f, out);
   EXPECT_LT(max_rel_diff(out.span(), ref.span(), 1e-3), 2e-5);
+}
+
+// 1000 rows split into 8 panels of 128 (the last one ragged). On the calling
+// thread the panels run on a pool; on a pool worker sgemm_blocked runs them
+// serially. Either way every C element must come out bit-identical.
+TEST(GemmTest, PanelSplitIsBitIdentical) {
+  Matrix a = random_matrix(1000, 40, Layout::kRowMajor, 7);
+  Matrix b = random_matrix(40, 300, Layout::kColMajor, 8);
+  Matrix split(1000, 300, Layout::kRowMajor);
+  Matrix serial(1000, 300, Layout::kRowMajor);
+  sgemm_blocked(1.0f, a, b, 0.0f, split);
+  exec::ThreadPool pool(1);
+  pool.parallel_for(1, [&](std::size_t) {
+    sgemm_blocked(1.0f, a, b, 0.0f, serial);
+  });
+  EXPECT_EQ(std::memcmp(split.data(), serial.data(),
+                        split.span().size() * sizeof(float)),
+            0);
 }
 
 }  // namespace

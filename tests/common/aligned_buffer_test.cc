@@ -14,6 +14,11 @@ TEST(AlignedBufferTest, AllocatesAligned) {
   EXPECT_EQ(buf.size(), 100u);
 }
 
+TEST(AlignedBufferTest, RefusesASizeWhoseBytesOverflow) {
+  EXPECT_THROW(AlignedBuffer<float>(SIZE_MAX / 2), std::bad_alloc);
+  EXPECT_THROW(AlignedBuffer<float>(SIZE_MAX / sizeof(float)), std::bad_alloc);
+}
+
 TEST(AlignedBufferTest, ZeroInitialised) {
   AlignedBuffer<float> buf(1000);
   for (float x : buf) EXPECT_EQ(x, 0.0f);

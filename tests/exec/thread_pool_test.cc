@@ -1,14 +1,15 @@
 // ThreadPool contract tests: worker-count validation, full index coverage,
-// pool reuse, submission-order results from map_ordered, and deterministic
-// (lowest-index) exception propagation. gtest assertions are not
-// thread-safe, so every test computes inside workers and asserts on the
-// main thread afterwards.
+// pool reuse, submission-order results from map_ordered, deterministic
+// (lowest-index) exception propagation, the worker-thread flag and the
+// env_threads rule. gtest assertions are not thread-safe, so every test
+// computes inside workers and asserts on the main thread afterwards.
 #include "exec/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,32 @@ TEST(ThreadPoolTest, PoolSurvivesAFailedJob) {
   std::atomic<int> calls{0};
   pool.parallel_for(8, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(ThreadPoolTest, OnWorkerThread) {
+  ThreadPool pool(4);
+  std::vector<int> inside(16, 0);
+  pool.parallel_for(inside.size(), [&](std::size_t i) {
+    inside[i] = ThreadPool::on_worker_thread() ? 1 : 0;
+  });
+  for (std::size_t i = 0; i < inside.size(); ++i) {
+    EXPECT_EQ(inside[i], 1) << "index " << i;
+  }
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+}
+
+TEST(ThreadPoolTest, EnvThreadsAcceptsOnlyAnIntegerInRange) {
+  constexpr const char* kName = "KSUM_THREAD_POOL_TEST_THREADS";
+  const int fallback = ThreadPool::hardware_threads();
+  ASSERT_EQ(setenv(kName, "3", 1), 0);
+  EXPECT_EQ(env_threads(kName), 3);
+  ASSERT_EQ(unsetenv(kName), 0);
+  EXPECT_EQ(env_threads(kName), fallback);
+  for (const char* value : {"", "0", "-2", "abc", "257"}) {
+    ASSERT_EQ(setenv(kName, value, 1), 0);
+    EXPECT_EQ(env_threads(kName), fallback) << "value \"" << value << '"';
+  }
+  ASSERT_EQ(unsetenv(kName), 0);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -43,15 +42,6 @@ namespace ksum {
 namespace {
 
 using pipelines::Backend;
-
-int test_threads() {
-  const char* env = std::getenv("KSUM_TEST_THREADS");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n >= 1 && n <= exec::ThreadPool::kMaxThreads) return n;
-  }
-  return exec::ThreadPool::hardware_threads();
-}
 
 struct FuzzCase {
   std::size_t m, n, k;
@@ -97,7 +87,7 @@ struct AgreeOutcome {
 TEST(DifferentialFuzzTest, BackendsAgreeOnSeededRandomShapes) {
   const auto cases = fuzz_cases();
   ASSERT_GE(cases.size(), 50u);
-  exec::ThreadPool pool(test_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_TEST_THREADS"));
   const auto outcomes = exec::map_ordered(
       pool, cases.size(), [&](std::size_t index) {
         const FuzzCase& c = cases[index];
@@ -168,7 +158,7 @@ TEST(DifferentialFuzzTest, RobustForkMatchesAndStaysQuiet) {
   for (std::size_t i = 0; i < cases.size(); i += 4) picked.push_back(cases[i]);
   ASSERT_GE(picked.size(), 30u);
 
-  exec::ThreadPool pool(test_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_TEST_THREADS"));
   const auto outcomes = exec::map_ordered(
       pool, picked.size(), [&](std::size_t index) {
         const FuzzCase& c = picked[index];
@@ -249,7 +239,7 @@ TEST(DifferentialFuzzTest, FusedMatchesOracleUnderRandomTunedGeometries) {
   for (std::size_t i = 0; i < cases.size(); i += 3) picked.push_back(cases[i]);
   ASSERT_GE(picked.size(), 40u);
 
-  exec::ThreadPool pool(test_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_TEST_THREADS"));
   const auto outcomes = exec::map_ordered(
       pool, picked.size(), [&](std::size_t index) {
         const FuzzCase& c = picked[index];
@@ -318,7 +308,7 @@ TEST(DifferentialFuzzTest, FusedMatchesOracleUnderNonDefaultProfile) {
   }
   ASSERT_GE(picked.size(), 30u);
 
-  exec::ThreadPool pool(test_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_TEST_THREADS"));
   const auto outcomes = exec::map_ordered(
       pool, picked.size(), [&](std::size_t index) {
         const FuzzCase& c = picked[index];
@@ -399,7 +389,7 @@ TEST(DifferentialFuzzTest, ShardedRunsMatchUnshardedByteForByte) {
   const std::size_t shard_counts[] = {2, 3, 8};
   const int worker_counts[] = {1, 2, 8};
 
-  exec::ThreadPool pool(test_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_TEST_THREADS"));
   const auto outcomes = exec::map_ordered(
       pool, picked.size(), [&](std::size_t index) {
         const FuzzCase& c = picked[index];
@@ -497,7 +487,7 @@ TEST(DifferentialFuzzTest, TreecodeMeetsEpsAgainstTheOracle) {
   const double eps_ladder[] = {1e-2, 1e-4, 1e-6};
   const int worker_counts[] = {1, 2, 8};
 
-  exec::ThreadPool pool(test_threads());
+  exec::ThreadPool pool(exec::env_threads("KSUM_TEST_THREADS"));
   const auto outcomes = exec::map_ordered(
       pool, picked.size(), [&](std::size_t index) {
         const FuzzCase& c = picked[index];
