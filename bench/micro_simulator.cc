@@ -16,17 +16,22 @@ namespace {
 
 using namespace ksum;
 
+// Arg = distinct 128-byte rows the warp access touches: 1 is the
+// conflict-free case the Fig.-5 kernels produce, 4 the naive layout's
+// B-operand reads, 32 the worst case (every lane in the same bank, another
+// row).
 void BM_SmemTransactionCount(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
   gpusim::SharedWarpAccess access;
   for (int l = 0; l < 32; ++l) {
-    access.set_lane(l, gpusim::SharedAddr((l % 4) * 128));
+    access.set_lane(l, gpusim::SharedAddr((l % rows) * 128 + (l / rows) * 4));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         gpusim::SharedMemory::transactions_for(access));
   }
 }
-BENCHMARK(BM_SmemTransactionCount);
+BENCHMARK(BM_SmemTransactionCount)->Arg(1)->Arg(4)->Arg(32);
 
 void BM_L2SectorStream(benchmark::State& state) {
   std::uint64_t reads = 0, hits = 0, misses = 0;

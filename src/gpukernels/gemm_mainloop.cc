@@ -6,26 +6,44 @@
 namespace ksum::gpukernels {
 namespace {
 
+// The two operand tiles' offset tables, built once per run_gemm_mainloop.
+struct TileOffsets {
+  TileOffsetTable a;
+  TileOffsetTable b;
+};
+
 // One rank-tileK update: every warp reads its A/B operands for step k
-// through the bank model and feeds the micro² per-thread FMAs.
-void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
-                      gpusim::SharedAddr a_base, gpusim::SharedAddr b_base,
-                      int k, BlockAccumulators& acc) {
-  const TileGeometry& g = config.geometry;
+// through the bank model and feeds the micro² per-thread FMAs. Thread
+// (tx, ty) reads operand u of tileA track micro·ty + u and operand t of
+// tileB track micro·tx + t.
+void rank_update_step(gpusim::BlockContext& ctx, const TileGeometry& g,
+                      const TileOffsets& offsets, gpusim::SharedAddr a_base,
+                      gpusim::SharedAddr b_base, int k,
+                      BlockAccumulators& acc) {
   const std::size_t micro2 = static_cast<std::size_t>(g.micro * g.micro);
   for (int warp = 0; warp < g.warps(); ++warp) {
-    OperandLanes a_ops{};
-    OperandLanes b_ops{};
+    // Slots [lane][0, micro) are written by the loads below before the FMAs
+    // read them.
+    OperandLanes a_ops;
+    OperandLanes b_ops;
+    // First track of each lane's microtile in tileA (row ty) and tileB
+    // (column tx).
+    std::array<int, 32> a_track;
+    std::array<int, 32> b_track;
+    for (int lane = 0; lane < 32; ++lane) {
+      const int tid = warp * 32 + lane;
+      a_track[static_cast<std::size_t>(lane)] = g.micro * thread_ty(tid, g);
+      b_track[static_cast<std::size_t>(lane)] = g.micro * thread_tx(tid, g);
+    }
 
     for (int u = 0; u < g.micro; ++u) {
       gpusim::SharedWarpAccess access;
       access.site = KSUM_ACCESS_SITE("mainloop A operand load");
       access.warp = warp;
       for (int lane = 0; lane < 32; ++lane) {
-        const int tid = warp * 32 + lane;
-        access.set_lane(lane,
-                        a_base + operand_offset(config.layout, g, g.block_y,
-                                                thread_ty(tid, g), u, k));
+        access.set_lane(
+            lane, a_base + offsets.a.at(
+                               a_track[static_cast<std::size_t>(lane)] + u, k));
       }
       const auto vals = ctx.smem().load_warp(access);
       for (int lane = 0; lane < 32; ++lane) {
@@ -38,10 +56,9 @@ void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
       access.site = KSUM_ACCESS_SITE("mainloop B operand load");
       access.warp = warp;
       for (int lane = 0; lane < 32; ++lane) {
-        const int tid = warp * 32 + lane;
-        access.set_lane(lane,
-                        b_base + operand_offset(config.layout, g, g.block_x,
-                                                thread_tx(tid, g), t, k));
+        access.set_lane(
+            lane, b_base + offsets.b.at(
+                               b_track[static_cast<std::size_t>(lane)] + t, k));
       }
       const auto vals = ctx.smem().load_warp(access);
       for (int lane = 0; lane < 32; ++lane) {
@@ -53,13 +70,12 @@ void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
     for (int lane = 0; lane < 32; ++lane) {
       const std::size_t tid = static_cast<std::size_t>(warp * 32 + lane);
       float* microtile = acc.data() + tid * micro2;
+      const float* a_lane = a_ops[static_cast<std::size_t>(lane)].data();
+      const float* b_lane = b_ops[static_cast<std::size_t>(lane)].data();
       for (int u = 0; u < g.micro; ++u) {
-        const float aval =
-            a_ops[static_cast<std::size_t>(lane)][static_cast<std::size_t>(u)];
+        const float aval = a_lane[u];
         for (int t = 0; t < g.micro; ++t) {
-          microtile[u * g.micro + t] +=
-              aval * b_ops[static_cast<std::size_t>(lane)]
-                          [static_cast<std::size_t>(t)];
+          microtile[u * g.micro + t] += aval * b_lane[t];
         }
       }
     }
@@ -68,11 +84,11 @@ void rank_update_step(gpusim::BlockContext& ctx, const MainloopConfig& config,
   }
 }
 
-void compute_tile(gpusim::BlockContext& ctx, const MainloopConfig& config,
-                  gpusim::SharedAddr a_base, gpusim::SharedAddr b_base,
-                  BlockAccumulators& acc) {
-  for (int k = 0; k < config.geometry.tile_k; ++k) {
-    rank_update_step(ctx, config, a_base, b_base, k, acc);
+void compute_tile(gpusim::BlockContext& ctx, const TileGeometry& g,
+                  const TileOffsets& offsets, gpusim::SharedAddr a_base,
+                  gpusim::SharedAddr b_base, BlockAccumulators& acc) {
+  for (int k = 0; k < g.tile_k; ++k) {
+    rank_update_step(ctx, g, offsets, a_base, b_base, k, acc);
   }
 }
 
@@ -116,15 +132,16 @@ void run_gemm_mainloop(gpusim::BlockContext& ctx, const TileSource& a,
                                static_cast<std::size_t>(g.micro * g.micro));
   const std::size_t iters = k_total / static_cast<std::size_t>(g.tile_k);
   const int lw = g.loader_warps();
+  const TileOffsets offsets{
+      make_tile_offset_table(config.layout, g, g.tile_m),
+      make_tile_offset_table(config.layout, g, g.tile_n)};
 
   if (config.double_buffer) {
     // Algorithm 2: prologue load, then each iteration prefetches tile i+1
     // into the other buffer while computing tile i, one barrier apiece.
     ctx.phase("prologue");
-    load_tile(ctx, g, a, 0, smem.a0, config.layout, /*warp_base=*/0,
-              g.tile_m, a_norms);
-    load_tile(ctx, g, b, 0, smem.b0, config.layout, /*warp_base=*/lw,
-              g.tile_n, b_norms);
+    load_tile(ctx, g, a, 0, smem.a0, offsets.a, /*warp_base=*/0, a_norms);
+    load_tile(ctx, g, b, 0, smem.b0, offsets.b, /*warp_base=*/lw, b_norms);
     ctx.barrier();
     ctx.phase("mainloop");
     for (std::size_t i = 0; i < iters; ++i) {
@@ -134,12 +151,11 @@ void run_gemm_mainloop(gpusim::BlockContext& ctx, const TileSource& a,
       if (i + 1 < iters) {
         const gpusim::SharedAddr a_next = even ? smem.a1 : smem.a0;
         const gpusim::SharedAddr b_next = even ? smem.b1 : smem.b0;
-        load_tile(ctx, g, a, (i + 1) * static_cast<std::size_t>(g.tile_k),
-                  a_next, config.layout, 0, g.tile_m, a_norms);
-        load_tile(ctx, g, b, (i + 1) * static_cast<std::size_t>(g.tile_k),
-                  b_next, config.layout, lw, g.tile_n, b_norms);
+        const std::size_t k_next = (i + 1) * static_cast<std::size_t>(g.tile_k);
+        load_tile(ctx, g, a, k_next, a_next, offsets.a, 0, a_norms);
+        load_tile(ctx, g, b, k_next, b_next, offsets.b, lw, b_norms);
       }
-      compute_tile(ctx, config, a_cur, b_cur, acc);
+      compute_tile(ctx, g, offsets, a_cur, b_cur, acc);
       ctx.barrier();
     }
   } else {
@@ -148,12 +164,11 @@ void run_gemm_mainloop(gpusim::BlockContext& ctx, const TileSource& a,
     // state here, so the whole loop is the main loop phase.
     ctx.phase("mainloop");
     for (std::size_t i = 0; i < iters; ++i) {
-      load_tile(ctx, g, a, i * static_cast<std::size_t>(g.tile_k), smem.a0,
-                config.layout, 0, g.tile_m, a_norms);
-      load_tile(ctx, g, b, i * static_cast<std::size_t>(g.tile_k), smem.b0,
-                config.layout, lw, g.tile_n, b_norms);
+      const std::size_t k0 = i * static_cast<std::size_t>(g.tile_k);
+      load_tile(ctx, g, a, k0, smem.a0, offsets.a, 0, a_norms);
+      load_tile(ctx, g, b, k0, smem.b0, offsets.b, lw, b_norms);
       ctx.barrier();
-      compute_tile(ctx, config, smem.a0, smem.b0, acc);
+      compute_tile(ctx, g, offsets, smem.a0, smem.b0, acc);
       ctx.barrier();
     }
   }

@@ -53,4 +53,19 @@ gpusim::SharedAddr tile_offset(TileLayout layout, const TileGeometry& g,
              : naive_offset(g, microtiles, microtile, track, k);
 }
 
+TileOffsetTable make_tile_offset_table(TileLayout layout,
+                                       const TileGeometry& g, int tile_rows) {
+  const int microtiles = tile_rows / g.micro;
+  TileOffsetTable table{layout, g.tile_k, {}};
+  table.offsets.reserve(static_cast<std::size_t>(tile_rows * g.tile_k));
+  for (int track = 0; track < tile_rows; ++track) {
+    for (int k = 0; k < g.tile_k; ++k) {
+      table.offsets.push_back(tile_offset(layout, g, microtiles,
+                                          track / g.micro, track % g.micro,
+                                          k));
+    }
+  }
+  return table;
+}
+
 }  // namespace ksum::gpukernels

@@ -27,6 +27,8 @@
 // it is kept as the ablation baseline.
 #pragma once
 
+#include <vector>
+
 #include "gpusim/address.h"
 #include "gpukernels/tile_geometry.h"
 
@@ -61,15 +63,26 @@ gpusim::SharedAddr tile_offset(TileLayout layout, const TileGeometry& g,
                                int microtiles, int microtile, int track,
                                int k);
 
-/// Offsets of the operand words the compute phase reads at main-loop step k:
-/// operand u (0..micro-1) of microtile `mt` — for tileA mt = ty (microtiles
-/// = block_y), for tileB mt = tx (microtiles = block_x).
-inline gpusim::SharedAddr operand_offset(TileLayout layout,
-                                         const TileGeometry& g,
-                                         int microtiles, int mt, int u,
-                                         int k) {
-  return tile_offset(layout, g, microtiles, mt, u, k);
-}
+/// One operand tile's shared-memory offsets, tabulated once per CTA so the
+/// loader's scatter stores and the main loop's operand loads index a table
+/// instead of recomputing the layout per lane: at(τ, k) is
+/// tile_offset(layout, g, tracks/micro, τ/micro, τ%micro, k) for track
+/// τ = micro·microtile + t.
+struct TileOffsetTable {
+  TileLayout layout = TileLayout::kFig5;
+  int tile_k = 0;
+  std::vector<gpusim::SharedAddr> offsets;  // [τ·tile_k + k]
+
+  int tracks() const { return static_cast<int>(offsets.size()) / tile_k; }
+  gpusim::SharedAddr at(int track, int k) const {
+    return offsets[static_cast<std::size_t>(track * tile_k + k)];
+  }
+};
+
+/// Tabulates the `tile_rows` tracks of a tile (tile_m for tileA, tile_n for
+/// tileB) under `layout`.
+TileOffsetTable make_tile_offset_table(TileLayout layout,
+                                       const TileGeometry& g, int tile_rows);
 
 // Paper-geometry conveniences (the shapes the original constants encoded);
 // kept for the layout tests and the analysis examples.
@@ -86,6 +99,8 @@ inline gpusim::SharedAddr tile_offset(TileLayout layout, int microtile,
                                       int track, int k) {
   return tile_offset(layout, TileGeometry{}, 16, microtile, track, k);
 }
+/// Offset of the operand word the compute phase reads at main-loop step k:
+/// operand u of microtile `mt` (mt = ty for tileA, tx for tileB).
 inline gpusim::SharedAddr operand_offset(TileLayout layout, int mt, int u,
                                          int k) {
   return tile_offset(layout, TileGeometry{}, 16, mt, u, k);

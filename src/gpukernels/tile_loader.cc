@@ -7,11 +7,12 @@ namespace ksum::gpukernels {
 
 void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
                const TileSource& src, std::size_t k0,
-               gpusim::SharedAddr smem_base, TileLayout layout,
-               int warp_base, int tile_rows,
-               TrackNormAccumulators* norms) {
+               gpusim::SharedAddr smem_base, const TileOffsetTable& offsets,
+               int warp_base, TrackNormAccumulators* norms) {
   KSUM_DCHECK(k0 % static_cast<std::size_t>(geom.tile_k) == 0);
   KSUM_DCHECK(src.leading % static_cast<std::size_t>(geom.tile_k) == 0);
+  KSUM_DCHECK(offsets.tile_k == geom.tile_k);
+  const int tile_rows = offsets.tracks();
   KSUM_DCHECK(tile_rows % 32 == 0);
 
   const int microtiles = tile_rows / geom.micro;
@@ -21,9 +22,16 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
     // The half's warps walk the chunks round-robin; with the paper's tiles
     // each of the 4 warps owns exactly one chunk.
     const int warp = warp_base + chunk % geom.loader_warps();
-    // Per-lane track assignment and staging registers for the elements.
-    std::array<TrackAssignment, 32> tracks;
-    std::array<std::array<float, kMaxTileK>, 32> staged{};
+    // Per-lane track τ = micro·microtile + t and staging registers for its
+    // elements (every slot below tile_k is written before it is read).
+    std::array<int, 32> tracks;
+    std::array<std::array<float, kMaxTileK>, 32> staged;
+    for (int lane = 0; lane < 32; ++lane) {
+      const TrackAssignment ta = track_of_loader(offsets.layout, geom,
+                                                 microtiles, chunk * 32 + lane);
+      tracks[static_cast<std::size_t>(lane)] =
+          geom.micro * ta.microtile + ta.track;
+    }
 
     // tileK/4 float4 global loads cover the track's elements.
     for (int piece = 0; piece < pieces; ++piece) {
@@ -32,12 +40,9 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
       access.site = KSUM_ACCESS_SITE("tile track fetch (float4 piece)");
       access.warp = warp;
       for (int lane = 0; lane < 32; ++lane) {
-        const TrackAssignment ta =
-            track_of_loader(layout, geom, microtiles, chunk * 32 + lane);
-        tracks[static_cast<std::size_t>(lane)] = ta;
         const std::size_t track_index =
-            src.origin + static_cast<std::size_t>(geom.micro * ta.microtile +
-                                                  ta.track);
+            src.origin +
+            static_cast<std::size_t>(tracks[static_cast<std::size_t>(lane)]);
         const std::size_t float_index =
             track_index * src.leading + k0 + static_cast<std::size_t>(piece) * 4;
         access.set_lane(lane, src.buffer.addr_of_float(float_index));
@@ -60,10 +65,8 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
 
     if (norms != nullptr) {
       for (int lane = 0; lane < 32; ++lane) {
-        const TrackAssignment ta = tracks[static_cast<std::size_t>(lane)];
-        float& acc =
-            (*norms)[static_cast<std::size_t>(geom.micro * ta.microtile +
-                                              ta.track)];
+        float& acc = (*norms)[static_cast<std::size_t>(
+            tracks[static_cast<std::size_t>(lane)])];
         for (int k = 0; k < geom.tile_k; ++k) {
           const float v =
               staged[static_cast<std::size_t>(lane)][static_cast<std::size_t>(
@@ -79,12 +82,10 @@ void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
       gpusim::SharedWarpAccess store;
       store.site = KSUM_ACCESS_SITE("tile track scatter store");
       store.warp = warp;
-      std::array<float, 32> values{};
+      std::array<float, 32> values;
       for (int lane = 0; lane < 32; ++lane) {
-        const TrackAssignment ta = tracks[static_cast<std::size_t>(lane)];
-        store.set_lane(lane,
-                       smem_base + tile_offset(layout, geom, microtiles,
-                                               ta.microtile, ta.track, k));
+        const int track = tracks[static_cast<std::size_t>(lane)];
+        store.set_lane(lane, smem_base + offsets.at(track, k));
         values[static_cast<std::size_t>(lane)] =
             staged[static_cast<std::size_t>(lane)][static_cast<std::size_t>(k)];
       }

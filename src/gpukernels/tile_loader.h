@@ -40,15 +40,15 @@ using OperandLanes = std::array<std::array<float, kMaxMicro>, 32>;
 /// Loads the K-slice [k0, k0+tileK) of `src` into the shared-memory region
 /// starting at `smem_base`, using the half's warps
 /// `warp_base`..`warp_base+loader_warps-1` (0 for the tileA half,
-/// loader_warps for the tileB half). `tile_rows` is the track count of the
-/// tile (tile_m for A, tile_n for B). When `norms` is non-null, each loaded
-/// element's square is added to its track's accumulator (counted as extra
-/// FMA work).
+/// loader_warps for the tileB half). `offsets` is the tile's offset table
+/// (make_tile_offset_table); its layout assigns the tracks and its track
+/// count is the tile's (tile_m for A, tile_n for B). When `norms` is
+/// non-null, each loaded element's square is added to its track's
+/// accumulator (counted as extra FMA work).
 void load_tile(gpusim::BlockContext& ctx, const TileGeometry& geom,
                const TileSource& src, std::size_t k0,
-               gpusim::SharedAddr smem_base, TileLayout layout,
-               int warp_base, int tile_rows,
-               TrackNormAccumulators* norms = nullptr);
+               gpusim::SharedAddr smem_base, const TileOffsetTable& offsets,
+               int warp_base, TrackNormAccumulators* norms = nullptr);
 
 /// Loads a `count`-float vector segment (norms, weights) starting at global
 /// float index `origin` of `buffer` into shared memory at `smem_base`, in

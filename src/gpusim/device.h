@@ -118,9 +118,11 @@ class BlockContext {
   float filter_fault(FaultSite site, float value);
 
  private:
-  /// Reports a serviced global request (with achieved/ideal sector counts)
-  /// to the device's observer, if one is attached.
-  void notify_global(const GlobalWarpAccess& access, AccessKind kind);
+  /// Reports a serviced global request to the device's observer, if one is
+  /// attached. `sectors` is the request's achieved sector count, already
+  /// computed by the caller for the traffic; the ideal count is derived here.
+  void notify_global(const GlobalWarpAccess& access, AccessKind kind,
+                     std::size_t sectors);
 
   Device& device_;
   GridDim grid_;

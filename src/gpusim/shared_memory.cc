@@ -1,8 +1,9 @@
 #include "gpusim/shared_memory.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
-#include <set>
+#include <string>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -25,11 +26,25 @@ void SharedMemory::check_access(const SharedWarpAccess& access) const {
   KSUM_REQUIRE(access.width_bytes == 4,
                "shared memory model currently services 4-byte lanes; express "
                "float4 as four accesses (the kernels do)");
+  // One pass over the active lanes: every address is aligned iff their OR
+  // is, and every address is in bounds iff their maximum is. Only a failing
+  // access takes the per-lane walk, which names the first bad lane.
+  std::uint32_t any_bits = 0;
+  SharedAddr highest = 0;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    const SharedAddr a = access.lane_active(lane)
+                             ? access.addr[static_cast<std::size_t>(lane)]
+                             : 0;
+    any_bits |= a;
+    highest = a > highest ? a : highest;
+  }
+  const std::size_t bytes = data_.size() * sizeof(float);
+  if (any_bits % 4 == 0 && std::size_t{highest} + 4 <= bytes) return;
   for (int lane = 0; lane < kWarpSize; ++lane) {
     if (!access.lane_active(lane)) continue;
     const SharedAddr a = access.addr[static_cast<std::size_t>(lane)];
     KSUM_CHECK_MSG(a % 4 == 0, "shared access must be 4-byte aligned");
-    KSUM_CHECK_MSG(a + 4 <= data_.size() * sizeof(float),
+    KSUM_CHECK_MSG(std::size_t{a} + 4 <= bytes,
                    "shared access out of the CTA allocation");
   }
 }
@@ -37,16 +52,57 @@ void SharedMemory::check_access(const SharedWarpAccess& access) const {
 int SharedMemory::transactions_for(const SharedWarpAccess& access) {
   // Distinct 128-byte rows touched by active lanes. Same word → broadcast
   // (no extra cost); same row, different banks → same transaction; different
-  // rows → replay.
-  std::set<std::uint32_t> rows;
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (!access.lane_active(lane)) continue;
-    const SharedAddr base = access.addr[static_cast<std::size_t>(lane)];
-    for (int piece = 0; piece < access.width_bytes; piece += 4) {
-      rows.insert((base + static_cast<std::uint32_t>(piece)) / kRowBytes);
+  // rows → replay. A lane of width w touches the rows of its bytes base,
+  // base+4, … below base+w (4-byte pieces).
+  KSUM_REQUIRE(access.width_bytes <= kMaxWidthBytes,
+               "shared access width " + std::to_string(access.width_bytes) +
+                   " exceeds " + std::to_string(kMaxWidthBytes) + " bytes");
+  const int pieces = access.width_bytes > 0 ? (access.width_bytes + 3) / 4 : 0;
+  if (access.active_mask == 0 || pieces == 0) return 0;
+  const auto row_of = [&access](int lane, int piece) -> std::uint32_t {
+    return (access.addr[static_cast<std::size_t>(lane)] +
+            static_cast<std::uint32_t>(4 * piece)) /
+           kRowBytes;
+  };
+
+  // Min/max-row pass, branch-free over the lanes. One row is the common
+  // (conflict-free) case.
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t hi = 0;
+  for (int piece = 0; piece < pieces; ++piece) {
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      const std::uint32_t row = row_of(lane, piece);
+      const bool active = access.lane_active(lane);
+      lo = active && row < lo ? row : lo;
+      hi = active && row > hi ? row : hi;
     }
   }
-  return static_cast<int>(rows.size());
+  if (lo == hi) return 1;
+
+  // Rows within a 64-row window dedupe into one bitmask.
+  if (hi - lo < 64) {
+    std::uint64_t seen = 0;
+    for (int piece = 0; piece < pieces; ++piece) {
+      for (int lane = 0; lane < kWarpSize; ++lane) {
+        seen |= std::uint64_t{access.lane_active(lane)}
+                << ((row_of(lane, piece) - lo) & 63u);
+      }
+    }
+    return std::popcount(seen);
+  }
+
+  // Wider spreads sort the rows in a stack buffer.
+  std::array<std::uint32_t, kWarpSize * kMaxWidthBytes / 4> rows;
+  std::size_t count = 0;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    if (!access.lane_active(lane)) continue;
+    for (int piece = 0; piece < pieces; ++piece) {
+      rows[count++] = row_of(lane, piece);
+    }
+  }
+  const auto end = rows.begin() + static_cast<std::ptrdiff_t>(count);
+  std::sort(rows.begin(), end);
+  return static_cast<int>(std::unique(rows.begin(), end) - rows.begin());
 }
 
 int SharedMemory::ideal_transactions_for(const SharedWarpAccess& access) {

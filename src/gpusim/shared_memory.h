@@ -39,8 +39,12 @@ class SharedMemory {
   void store_warp(const SharedWarpAccess& access,
                   const std::array<float, kWarpSize>& values);
 
+  /// Widest per-lane access transactions_for prices (a float4).
+  static constexpr int kMaxWidthBytes = 16;
+
   /// Counts the transactions a warp access costs under the row-select model
-  /// (also used standalone by unit tests and the analytic layer).
+  /// (also used standalone by unit tests and the analytic layer). Exact and
+  /// allocation-free; a width above kMaxWidthBytes throws ksum::Error.
   static int transactions_for(const SharedWarpAccess& access);
 
   /// Minimum transactions possible for the access width (1 for 4-byte,

@@ -6,6 +6,7 @@
 
 #include "gpukernels/gemm_mainloop.h"
 #include "gpusim/shared_memory.h"
+#include "tune/tile_search.h"
 
 namespace ksum::gpukernels {
 namespace {
@@ -65,6 +66,38 @@ TEST_P(LayoutTest, StorePhaseIsConflictFree) {
 INSTANTIATE_TEST_SUITE_P(BothLayouts, LayoutTest,
                          ::testing::Values(TileLayout::kFig5,
                                            TileLayout::kNaive));
+
+TEST(SmemLayoutTest, OffsetTableMatchesTileOffset) {
+  // The per-CTA table the loader and the main loop index must hold exactly
+  // what the layout functions compute, for every geometry the tuner can run.
+  int geometries = 0;
+  for (const TileGeometry& g : tune::enumerate_candidates()) {
+    if (!g.structurally_valid()) continue;
+    ++geometries;
+    for (const TileLayout layout : {TileLayout::kFig5, TileLayout::kNaive}) {
+      for (const int tile_rows : {g.tile_m, g.tile_n}) {
+        const TileOffsetTable table =
+            make_tile_offset_table(layout, g, tile_rows);
+        const int microtiles = tile_rows / g.micro;
+        ASSERT_EQ(table.layout, layout);
+        ASSERT_EQ(table.tracks(), tile_rows) << g.to_string();
+        ASSERT_EQ(table.offsets.size(),
+                  static_cast<std::size_t>(tile_rows * g.tile_k));
+        for (int m = 0; m < microtiles; ++m) {
+          for (int t = 0; t < g.micro; ++t) {
+            for (int k = 0; k < g.tile_k; ++k) {
+              ASSERT_EQ(table.at(g.micro * m + t, k),
+                        tile_offset(layout, g, microtiles, m, t, k))
+                  << g.to_string() << " rows=" << tile_rows << " m=" << m
+                  << " t=" << t << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 1);
+}
 
 // Compute-phase operand loads: thread (tx, ty) reads operand u of microtile
 // ty from tileA and operand t of microtile tx from tileB.

@@ -37,7 +37,8 @@ TEST_P(TileLoaderTest, LoadsEveryElementToItsLayoutSlot) {
   device_.launch(
       "loader", {1, 1}, {16, 16}, cfg, [&](gpusim::BlockContext& ctx) {
         TileSource src{buffer_, 0, kK};
-        load_tile(ctx, TileGeometry{}, src, k0, 0, layout, 0, kTileM);
+        load_tile(ctx, TileGeometry{}, src, k0, 0,
+                  make_tile_offset_table(layout, TileGeometry{}, kTileM), 0);
         // Verify every element landed where the layout function says.
         for (int m = 0; m < 16; ++m) {
           for (int t = 0; t < 8; ++t) {
@@ -63,7 +64,8 @@ TEST_P(TileLoaderTest, CountsArePredicted) {
   const auto result = device_.launch(
       "loader", {1, 1}, {16, 16}, cfg, [&](gpusim::BlockContext& ctx) {
         TileSource src{buffer_, 0, kK};
-        load_tile(ctx, TileGeometry{}, src, 0, 0, layout, 0, kTileM);
+        load_tile(ctx, TileGeometry{}, src, 0, 0,
+                  make_tile_offset_table(layout, TileGeometry{}, kTileM), 0);
       });
   const auto& c = result.counters;
   // 4 warps × 2 float4 loads.
