@@ -9,6 +9,7 @@
 #include "gpukernels/gemm_cudac.h"
 #include "gpukernels/norms.h"
 #include "gpusim/cache.h"
+#include "gpusim/coalescer.h"
 #include "gpusim/shared_memory.h"
 #include "workload/point_generators.h"
 
@@ -47,6 +48,29 @@ void BM_L2SectorStream(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_L2SectorStream)->Arg(1024)->Arg(262144);
+
+// Arg = lane address pattern of one warp request on 32-byte sectors:
+// 0 coalesced floats (4 sectors), 1 coalesced float4s (16), 2 floats at a
+// 128-byte stride (32), 3 coalesced floats in reversed lane order (4,
+// through the sort).
+void BM_CoalescerSectors(benchmark::State& state) {
+  const gpusim::Coalescer coalescer(32);
+  gpusim::GlobalWarpAccess access;
+  const int pattern = static_cast<int>(state.range(0));
+  access.width_bytes = pattern == 1 ? 16 : 4;
+  for (int l = 0; l < 32; ++l) {
+    const int slot = pattern == 3 ? 31 - l : l;
+    const int stride = pattern == 1 ? 16 : pattern == 2 ? 128 : 4;
+    access.set_lane(l, gpusim::GlobalAddr(4096 + slot * stride));
+  }
+  std::array<gpusim::GlobalAddr, gpusim::Coalescer::kMaxSectors> sectors;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(coalescer.sectors_for(access, sectors.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_CoalescerSectors)->DenseRange(0, 3);
 
 void BM_FunctionalFusedKernel(benchmark::State& state) {
   const std::size_t k = std::size_t(state.range(0));

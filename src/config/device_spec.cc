@@ -33,10 +33,14 @@ void DeviceSpec::validate() const {
                "SM thread limit must be warp aligned");
   KSUM_REQUIRE(smem_num_banks > 0 && is_pow2(smem_num_banks),
                "bank count must be 2^k");
+  KSUM_REQUIRE(is_pow2(l2_line_bytes), "L2 line size must be 2^k");
+  KSUM_REQUIRE(l2_sector_bytes >= 4 && is_pow2(l2_sector_bytes),
+               "L2 sector size must be 2^k, at least 4 bytes");
   KSUM_REQUIRE(l2_line_bytes % l2_sector_bytes == 0,
                "L2 line must be whole sectors");
   KSUM_REQUIRE(l2_bytes % static_cast<std::size_t>(l2_line_bytes) == 0,
                "L2 size must be whole lines");
+  KSUM_REQUIRE(l2_ways > 0, "L2 ways must be positive");
   KSUM_REQUIRE((l2_bytes / static_cast<std::size_t>(l2_line_bytes)) %
                        static_cast<std::size_t>(l2_ways) ==
                    0,
@@ -47,6 +51,7 @@ void DeviceSpec::validate() const {
   if (cache_globals_in_l1) {
     KSUM_REQUIRE(l1_bytes % static_cast<std::size_t>(l2_line_bytes) == 0,
                  "L1 size must be whole lines");
+    KSUM_REQUIRE(l1_ways > 0, "L1 ways must be positive");
     KSUM_REQUIRE((l1_bytes / static_cast<std::size_t>(l2_line_bytes)) %
                          static_cast<std::size_t>(l1_ways) ==
                      0,

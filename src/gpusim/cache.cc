@@ -1,5 +1,6 @@
 #include "gpusim/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.h"
@@ -10,6 +11,8 @@ namespace ksum::gpusim {
 void CacheGeometry::validate() const {
   KSUM_REQUIRE(line_bytes > 0 && sector_bytes > 0 && ways > 0,
                "cache geometry fields must be positive");
+  KSUM_REQUIRE(is_pow2(line_bytes), "cache line size must be 2^k");
+  KSUM_REQUIRE(is_pow2(sector_bytes), "cache sector size must be 2^k");
   KSUM_REQUIRE(line_bytes % sector_bytes == 0, "line must be whole sectors");
   KSUM_REQUIRE(sectors_per_line() <= 8,
                "sector masks are 8 bits; enlarge Line::valid for more");
@@ -25,44 +28,39 @@ SectoredCache::SectoredCache(const CacheGeometry& geometry,
                              CacheCounters counters)
     : geometry_(geometry), counters_(counters) {
   geometry_.validate();
+  line_shift_ = std::countr_zero(static_cast<unsigned>(geometry_.line_bytes));
+  sector_shift_ =
+      std::countr_zero(static_cast<unsigned>(geometry_.sector_bytes));
+  sector_index_mask_ =
+      static_cast<GlobalAddr>(geometry_.sectors_per_line() - 1);
+  num_sets_ = geometry_.num_sets();
+  ways_ = static_cast<std::size_t>(geometry_.ways);
   lines_.resize(geometry_.num_lines());
 }
 
-SectoredCache::Line* SectoredCache::find_line(GlobalAddr line_addr) {
-  const std::size_t set =
-      (line_addr / static_cast<GlobalAddr>(geometry_.line_bytes)) %
-      geometry_.num_sets();
-  Line* base = lines_.data() + set * static_cast<std::size_t>(geometry_.ways);
-  for (int w = 0; w < geometry_.ways; ++w) {
-    if (base[w].allocated && base[w].tag == line_addr) return &base[w];
-  }
-  return nullptr;
-}
-
-SectoredCache::Line& SectoredCache::allocate_line(GlobalAddr line_addr) {
-  const std::size_t set =
-      (line_addr / static_cast<GlobalAddr>(geometry_.line_bytes)) %
-      geometry_.num_sets();
-  Line* base = lines_.data() + set * static_cast<std::size_t>(geometry_.ways);
-  Line* victim = &base[0];
-  for (int w = 0; w < geometry_.ways; ++w) {
-    if (!base[w].allocated) {
-      victim = &base[w];
-      break;
+SectoredCache::Line& SectoredCache::line_for(GlobalAddr sector_addr) {
+  const GlobalAddr index = sector_addr >> line_shift_;
+  // Streams touch a line's sectors back to back: the previous lookup's way
+  // still holds that line unless an allocation has since replaced it.
+  if (lines_[last_way_].index == index) return lines_[last_way_];
+  const std::size_t first = (index % num_sets_) * ways_;
+  Line* const set = lines_.data() + first;
+  Line* victim = set;
+  for (std::size_t w = 0; w < ways_; ++w) {
+    if (set[w].index == index) {
+      last_way_ = first + w;
+      return set[w];
     }
-    if (base[w].last_use < victim->last_use) victim = &base[w];
+    if (set[w].last_use < victim->last_use) victim = &set[w];
   }
-  if (victim->allocated && victim->dirty != 0) {
+  last_way_ = static_cast<std::size_t>(victim - lines_.data());
+  if (victim->dirty != 0) {
     // Write back every dirty sector of the evicted line.
     bump(counters_.writebacks,
          static_cast<std::uint64_t>(
              std::popcount(static_cast<unsigned>(victim->dirty))));
   }
-  victim->allocated = true;
-  victim->tag = line_addr;
-  victim->valid = 0;
-  victim->dirty = 0;
-  victim->last_use = ++tick_;
+  *victim = Line{index, 0, 0, 0};
   return *victim;
 }
 
@@ -71,23 +69,15 @@ bool SectoredCache::read_sector(GlobalAddr sector_addr) {
                   static_cast<GlobalAddr>(geometry_.sector_bytes) ==
               0);
   bump(counters_.read_accesses);
-  const GlobalAddr line_addr =
-      sector_addr / static_cast<GlobalAddr>(geometry_.line_bytes) *
-      static_cast<GlobalAddr>(geometry_.line_bytes);
-  const int sector_idx = static_cast<int>(
-      (sector_addr - line_addr) / static_cast<GlobalAddr>(geometry_.sector_bytes));
-  const std::uint8_t bit = static_cast<std::uint8_t>(1u << sector_idx);
-
-  Line* line = find_line(line_addr);
-  if (line != nullptr && (line->valid & bit) != 0) {
-    line->last_use = ++tick_;
+  const std::uint8_t bit = sector_bit(sector_addr);
+  Line& line = line_for(sector_addr);
+  line.last_use = ++tick_;
+  if ((line.valid & bit) != 0) {
     bump(counters_.read_hits);
     return true;
   }
   bump(counters_.read_misses);
-  if (line == nullptr) line = &allocate_line(line_addr);
-  line->valid = static_cast<std::uint8_t>(line->valid | bit);
-  line->last_use = ++tick_;
+  line.valid = static_cast<std::uint8_t>(line.valid | bit);
   return false;
 }
 
@@ -96,23 +86,16 @@ void SectoredCache::write_sector(GlobalAddr sector_addr) {
                   static_cast<GlobalAddr>(geometry_.sector_bytes) ==
               0);
   bump(counters_.write_accesses);
-  const GlobalAddr line_addr =
-      sector_addr / static_cast<GlobalAddr>(geometry_.line_bytes) *
-      static_cast<GlobalAddr>(geometry_.line_bytes);
-  const int sector_idx = static_cast<int>(
-      (sector_addr - line_addr) / static_cast<GlobalAddr>(geometry_.sector_bytes));
-  const std::uint8_t bit = static_cast<std::uint8_t>(1u << sector_idx);
-
-  Line* line = find_line(line_addr);
-  if (line == nullptr) line = &allocate_line(line_addr);
-  line->valid = static_cast<std::uint8_t>(line->valid | bit);
-  line->dirty = static_cast<std::uint8_t>(line->dirty | bit);
-  line->last_use = ++tick_;
+  const std::uint8_t bit = sector_bit(sector_addr);
+  Line& line = line_for(sector_addr);
+  line.valid = static_cast<std::uint8_t>(line.valid | bit);
+  line.dirty = static_cast<std::uint8_t>(line.dirty | bit);
+  line.last_use = ++tick_;
 }
 
 void SectoredCache::flush_dirty() {
   for (auto& line : lines_) {
-    if (line.allocated && line.dirty != 0) {
+    if (line.dirty != 0) {
       bump(counters_.writebacks,
            static_cast<std::uint64_t>(
                std::popcount(static_cast<unsigned>(line.dirty))));
@@ -122,17 +105,15 @@ void SectoredCache::flush_dirty() {
 }
 
 void SectoredCache::reset() {
-  for (auto& line : lines_) line = Line{};
+  std::fill(lines_.begin(), lines_.end(), Line{});
   tick_ = 0;
 }
 
 std::size_t SectoredCache::resident_sectors() const {
   std::size_t total = 0;
   for (const auto& line : lines_) {
-    if (line.allocated) {
-      total += static_cast<std::size_t>(
-          std::popcount(static_cast<unsigned>(line.valid)));
-    }
+    total += static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(line.valid)));
   }
   return total;
 }

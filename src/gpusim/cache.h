@@ -1,12 +1,13 @@
 // Sectored set-associative cache model (Maxwell-style), used for both the
 // device-wide L2 and the optional per-SM L1/texture cache.
 //
-// Lines are 128 bytes of 32-byte sectors with per-sector valid/dirty bits;
-// fills happen at sector granularity (a miss fetches one sector, not the
-// whole line), replacement is LRU at line granularity. Stores are
-// write-back / write-allocate; a store to a missing sector installs it
-// without a fetch (all device stores in this codebase are full-sector
-// coalesced, so there is no partial-write merge problem — asserted).
+// Lines are 128 bytes of 32-byte sectors (sizes must be powers of two) with
+// per-sector valid/dirty bits; fills happen at sector granularity (a miss
+// fetches one sector, not the whole line), replacement is LRU at line
+// granularity. Stores are write-back / write-allocate; a store to a missing
+// sector installs it without a fetch (all device stores in this codebase
+// are full-sector coalesced, so there is no partial-write merge problem —
+// asserted).
 //
 // The cache only counts its *own* events through the CacheCounters hooks;
 // the caller owns the hierarchy: an L1 miss is forwarded to the L2 by the
@@ -70,9 +71,14 @@ class SectoredCache {
   const CacheGeometry& geometry() const { return geometry_; }
 
  private:
+  /// One way of one set. `index` is the resident line's address divided by
+  /// the line size, kNoLine while the way is unallocated. An unallocated
+  /// way has last_use 0 and no valid or dirty sector; every allocated way
+  /// has last_use >= 1, so the least last_use is the first unallocated way
+  /// if there is one and the least recently used way otherwise.
   struct Line {
-    bool allocated = false;
-    GlobalAddr tag = 0;  // line base address
+    static constexpr GlobalAddr kNoLine = ~GlobalAddr{0};
+    GlobalAddr index = kNoLine;
     std::uint64_t last_use = 0;
     std::uint8_t valid = 0;  // per-sector bitmask
     std::uint8_t dirty = 0;
@@ -82,12 +88,26 @@ class SectoredCache {
     if (counter != nullptr) *counter += n;
   }
 
-  Line* find_line(GlobalAddr line_addr);
-  Line& allocate_line(GlobalAddr line_addr);
+  /// The way holding the line of `sector_addr`, allocated (with the dirty
+  /// sectors of the evicted line written back) when it is not resident.
+  Line& line_for(GlobalAddr sector_addr);
+  std::uint8_t sector_bit(GlobalAddr sector_addr) const {
+    return static_cast<std::uint8_t>(
+        1u << ((sector_addr >> sector_shift_) & sector_index_mask_));
+  }
 
   CacheGeometry geometry_;
   CacheCounters counters_;
-  std::vector<Line> lines_;  // sets × ways
+  // Geometry derived once: addr >> line_shift_ is the line index, its
+  // remainder by num_sets_ the set (modulo, as set counts such as the
+  // GTX970's 896 need not be powers of two).
+  int line_shift_ = 0;
+  int sector_shift_ = 0;
+  GlobalAddr sector_index_mask_ = 0;
+  std::size_t num_sets_ = 0;
+  std::size_t ways_ = 0;
+  std::vector<Line> lines_;  // sets × ways, one allocation
+  std::size_t last_way_ = 0;  // position of the last line looked up
   std::uint64_t tick_ = 0;
 };
 

@@ -15,9 +15,24 @@ namespace ksum::gpusim {
 
 class Coalescer {
  public:
-  explicit Coalescer(int sector_bytes) : sector_bytes_(sector_bytes) {}
+  /// Per-lane access widths the coalescer prices: a float up to a float4.
+  static constexpr int kMinWidthBytes = 4;
+  static constexpr int kMaxWidthBytes = 16;
 
-  /// Distinct sector base addresses touched by the access, sorted ascending.
+  /// Most distinct sectors one warp request can touch: every 4-byte piece
+  /// of every lane in its own sector.
+  static constexpr int kMaxSectors = kWarpSize * kMaxWidthBytes / 4;
+
+  /// `sector_bytes` must be a power of two of at least 4 bytes.
+  explicit Coalescer(int sector_bytes);
+
+  /// Writes the distinct sector base addresses touched by the access to
+  /// `out` (kMaxSectors slots), sorted ascending, and returns their count.
+  /// Allocation-free; a width outside [kMinWidthBytes, kMaxWidthBytes]
+  /// throws ksum::Error.
+  int sectors_for(const GlobalWarpAccess& access, GlobalAddr* out) const;
+
+  /// The same list as a vector.
   std::vector<GlobalAddr> sectors_for(const GlobalWarpAccess& access) const;
 
   /// Minimum sectors that could service the access if its distinct bytes
@@ -31,6 +46,7 @@ class Coalescer {
 
  private:
   int sector_bytes_;
+  int sector_shift_;  // log2(sector_bytes_)
 };
 
 }  // namespace ksum::gpusim

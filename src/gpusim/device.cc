@@ -18,25 +18,40 @@ BlockContext::BlockContext(Device& device, GridDim grid, BlockDim block,
       smem_(smem),
       counters_(counters) {}
 
-void BlockContext::notify_global(const GlobalWarpAccess& access,
-                                 AccessKind kind, std::size_t sectors) {
+void BlockContext::service_global(const GlobalWarpAccess& access,
+                                  AccessKind kind) {
+  // Only the first `count` slots are written and read.
+  std::array<GlobalAddr, Coalescer::kMaxSectors> sectors;
+  const int count = device_.coalescer_.sectors_for(access, sectors.data());
+  for (int i = 0; i < count; ++i) {
+    const GlobalAddr sector = sectors[static_cast<std::size_t>(i)];
+    switch (kind) {
+      case AccessKind::kLoad:
+        device_.read_global_sector(sector, sm_index_);
+        break;
+      case AccessKind::kStore:
+        device_.write_global_sector(sector);
+        break;
+      case AccessKind::kAtomicAdd:
+        // Atomics resolve at the L2 and bypass the (incoherent) L1.
+        if (!device_.l2_.read_sector(sector)) {
+          counters_.dram_read_transactions += 1;
+        }
+        device_.l2_.write_sector(sector);
+        break;
+    }
+  }
   AccessObserver* observer = device_.observer_;
   if (observer == nullptr) return;
   const int ideal = device_.coalescer_.ideal_sectors_for(access);
-  observer->on_global_access(
-      {access, kind, static_cast<int>(sectors), ideal});
+  observer->on_global_access({access, kind, count, ideal});
 }
 
 std::array<float, kWarpSize> BlockContext::global_load(
     const GlobalWarpAccess& access) {
   counters_.global_load_requests += 1;
   counters_.warp_instructions += 1;
-  const std::vector<GlobalAddr> sectors =
-      device_.coalescer_.sectors_for(access);
-  for (const GlobalAddr sector : sectors) {
-    device_.read_global_sector(sector, sm_index_);
-  }
-  notify_global(access, AccessKind::kLoad, sectors.size());
+  service_global(access, AccessKind::kLoad);
   std::array<float, kWarpSize> out{};
   for (int lane = 0; lane < kWarpSize; ++lane) {
     if (!access.lane_active(lane)) continue;
@@ -51,12 +66,7 @@ std::array<std::array<float, 4>, kWarpSize> BlockContext::global_load_vec4(
   KSUM_REQUIRE(access.width_bytes == 16, "vec4 load needs width_bytes == 16");
   counters_.global_load_requests += 1;
   counters_.warp_instructions += 1;
-  const std::vector<GlobalAddr> sectors =
-      device_.coalescer_.sectors_for(access);
-  for (const GlobalAddr sector : sectors) {
-    device_.read_global_sector(sector, sm_index_);
-  }
-  notify_global(access, AccessKind::kLoad, sectors.size());
+  service_global(access, AccessKind::kLoad);
   std::array<std::array<float, 4>, kWarpSize> out{};
   for (int lane = 0; lane < kWarpSize; ++lane) {
     if (!access.lane_active(lane)) continue;
@@ -76,12 +86,7 @@ void BlockContext::global_store_vec4(
   KSUM_REQUIRE(access.width_bytes == 16, "vec4 store needs width_bytes == 16");
   counters_.global_store_requests += 1;
   counters_.warp_instructions += 1;
-  const std::vector<GlobalAddr> sectors =
-      device_.coalescer_.sectors_for(access);
-  for (const GlobalAddr sector : sectors) {
-    device_.write_global_sector(sector);
-  }
-  notify_global(access, AccessKind::kStore, sectors.size());
+  service_global(access, AccessKind::kStore);
   for (int lane = 0; lane < kWarpSize; ++lane) {
     if (!access.lane_active(lane)) continue;
     const GlobalAddr base = access.addr[static_cast<std::size_t>(lane)];
@@ -100,12 +105,7 @@ void BlockContext::global_store(const GlobalWarpAccess& access,
                                 const std::array<float, kWarpSize>& values) {
   counters_.global_store_requests += 1;
   counters_.warp_instructions += 1;
-  const std::vector<GlobalAddr> sectors =
-      device_.coalescer_.sectors_for(access);
-  for (const GlobalAddr sector : sectors) {
-    device_.write_global_sector(sector);
-  }
-  notify_global(access, AccessKind::kStore, sectors.size());
+  service_global(access, AccessKind::kStore);
   for (int lane = 0; lane < kWarpSize; ++lane) {
     if (!access.lane_active(lane)) continue;
     device_.memory_.store_f32(
@@ -123,16 +123,7 @@ void BlockContext::global_atomic_add(
   // Atomics resolve in the L2: each distinct sector is read-modify-written
   // once per warp request; lane-level serialisation on the same word is a
   // timing effect, not an extra transaction.
-  const std::vector<GlobalAddr> sectors =
-      device_.coalescer_.sectors_for(access);
-  for (const GlobalAddr sector : sectors) {
-    // Atomics resolve at the L2 and bypass the (incoherent) L1.
-    if (!device_.l2_.read_sector(sector)) {
-      counters_.dram_read_transactions += 1;
-    }
-    device_.l2_.write_sector(sector);
-  }
-  notify_global(access, AccessKind::kAtomicAdd, sectors.size());
+  service_global(access, AccessKind::kAtomicAdd);
   // One injection opportunity per warp request: the whole request is lost
   // or applied twice, modelling a dropped/replayed L2 atomic operation. The
   // request's traffic was already counted — the fault is functional only.

@@ -118,11 +118,10 @@ class BlockContext {
   float filter_fault(FaultSite site, float value);
 
  private:
-  /// Reports a serviced global request to the device's observer, if one is
-  /// attached. `sectors` is the request's achieved sector count, already
-  /// computed by the caller for the traffic; the ideal count is derived here.
-  void notify_global(const GlobalWarpAccess& access, AccessKind kind,
-                     std::size_t sectors);
+  /// Coalesces a global request, sends each of its sectors through the
+  /// memory hierarchy as `kind` traffic, then reports the request with its
+  /// achieved and ideal sector counts to the observer, if one is attached.
+  void service_global(const GlobalWarpAccess& access, AccessKind kind);
 
   Device& device_;
   GridDim grid_;

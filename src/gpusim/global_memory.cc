@@ -51,14 +51,4 @@ void GlobalMemory::fill(const DeviceBuffer& dst, float value) {
   }
 }
 
-float GlobalMemory::load_f32(GlobalAddr addr) const {
-  check_range(addr, 4);
-  return arena_[addr / 4];
-}
-
-void GlobalMemory::store_f32(GlobalAddr addr, float value) {
-  check_range(addr, 4);
-  arena_[addr / 4] = value;
-}
-
 }  // namespace ksum::gpusim

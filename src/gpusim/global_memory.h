@@ -46,9 +46,16 @@ class GlobalMemory {
   void upload_matrix(const DeviceBuffer& dst, const Matrix& src);
   void fill(const DeviceBuffer& dst, float value);
 
-  /// Raw word access used by the memory pipeline after coalescing.
-  float load_f32(GlobalAddr addr) const;
-  void store_f32(GlobalAddr addr, float value);
+  /// Raw word access used by the memory pipeline after coalescing. A
+  /// misaligned or out-of-arena word throws ksum::InternalError.
+  float load_f32(GlobalAddr addr) const {
+    if (!word_in_range(addr)) [[unlikely]] check_range(addr, 4);
+    return arena_[addr / 4];
+  }
+  void store_f32(GlobalAddr addr, float value) {
+    if (!word_in_range(addr)) [[unlikely]] check_range(addr, 4);
+    arena_[addr / 4] = value;
+  }
 
   std::size_t bytes_allocated() const { return next_; }
   std::size_t capacity() const { return arena_.size() * 4; }
@@ -61,6 +68,11 @@ class GlobalMemory {
   void reset() { next_ = 0; }
 
  private:
+  bool word_in_range(GlobalAddr addr) const {
+    return addr % 4 == 0 && addr + 4 <= capacity();
+  }
+  /// Throws, naming the failed condition, unless [addr, addr + bytes) is
+  /// an aligned range inside the arena.
   void check_range(GlobalAddr addr, std::size_t bytes) const;
 
   std::vector<float> arena_;

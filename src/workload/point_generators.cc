@@ -67,18 +67,26 @@ std::vector<std::vector<float>> make_centres(std::size_t k, Rng& rng) {
   return centres;
 }
 
+// Fills `storage` with consecutive K-coordinate points. A row-major M×K
+// and a column-major K×N matrix both store point p at [p·K, p·K + K), so
+// the draws land in the backing buffer in draw order.
+void draw_points(Distribution dist, Rng& rng,
+                 const std::vector<std::vector<float>>& centres,
+                 std::size_t k, std::span<float> storage) {
+  const std::size_t num_points = storage.size() / k;
+  for (std::size_t p = 0; p < num_points; ++p) {
+    draw_point(dist, rng, centres, p, num_points, storage.subspan(p * k, k));
+  }
+}
+
 }  // namespace
 
 Matrix generate_source_points(const ProblemSpec& spec) {
   spec.validate();
   Rng rng = Rng(spec.seed).split(1);
-  auto centres = make_centres(spec.k, rng);
+  const auto centres = make_centres(spec.k, rng);
   Matrix a(spec.m, spec.k, Layout::kRowMajor);
-  std::vector<float> point(spec.k);
-  for (std::size_t i = 0; i < spec.m; ++i) {
-    draw_point(spec.distribution, rng, centres, i, spec.m, point);
-    for (std::size_t d = 0; d < spec.k; ++d) a.at(i, d) = point[d];
-  }
+  draw_points(spec.distribution, rng, centres, spec.k, a.span());
   return a;
 }
 
@@ -87,14 +95,10 @@ Matrix generate_target_points(const ProblemSpec& spec) {
   // Targets share the seed (so mixtures use the same cluster centres as the
   // sources) but draw from an independent substream.
   Rng centre_rng = Rng(spec.seed).split(1);
-  auto centres = make_centres(spec.k, centre_rng);
+  const auto centres = make_centres(spec.k, centre_rng);
   Rng rng = Rng(spec.seed).split(2);
   Matrix b(spec.k, spec.n, Layout::kColMajor);
-  std::vector<float> point(spec.k);
-  for (std::size_t j = 0; j < spec.n; ++j) {
-    draw_point(spec.distribution, rng, centres, j, spec.n, point);
-    for (std::size_t d = 0; d < spec.k; ++d) b.at(d, j) = point[d];
-  }
+  draw_points(spec.distribution, rng, centres, spec.k, b.span());
   return b;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace ksum::config {
@@ -54,6 +56,51 @@ TEST(DeviceSpecTest, ValidateRejectsBadConfigs) {
 
   spec = DeviceSpec::gtx970();
   spec.core_clock_ghz = 0.0;
+  EXPECT_THROW(spec.validate(), Error);
+}
+
+// The cache model and the coalescer shift and mask by the line and sector
+// sizes, so both must be powers of two (every checked-in profile is
+// 128/32).
+TEST(DeviceSpecTest, ValidateRefusesNonPowerOfTwoLinesAndSectors) {
+  const auto message_of = [](const DeviceSpec& spec) -> std::string {
+    try {
+      spec.validate();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  DeviceSpec spec = DeviceSpec::gtx970();
+  spec.l2_line_bytes = 96;  // three whole 32-byte sectors
+  spec.l2_bytes = std::size_t{96} * 16 * 1024;
+  EXPECT_NE(message_of(spec).find("L2 line size must be 2^k"),
+            std::string::npos);
+
+  spec = DeviceSpec::gtx970();
+  spec.l2_sector_bytes = 48;
+  EXPECT_NE(message_of(spec).find("L2 sector size must be 2^k"),
+            std::string::npos);
+
+  spec = DeviceSpec::gtx970();
+  spec.l2_sector_bytes = 2;  // 2^k but narrower than a word
+  EXPECT_NE(message_of(spec).find("L2 sector size must be 2^k"),
+            std::string::npos);
+
+  spec = DeviceSpec::gtx970();
+  spec.l2_sector_bytes = 64;
+  EXPECT_NO_THROW(spec.validate());
+}
+
+// Zero ways are refused before lines are divided among them.
+TEST(DeviceSpecTest, ValidateRefusesZeroWays) {
+  DeviceSpec spec = DeviceSpec::gtx970();
+  spec.l2_ways = 0;
+  EXPECT_THROW(spec.validate(), Error);
+
+  spec = DeviceSpec::gtx970();
+  spec.cache_globals_in_l1 = true;
+  spec.l1_ways = 0;
   EXPECT_THROW(spec.validate(), Error);
 }
 
